@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -83,7 +84,11 @@ def _cmd_integrate(ns) -> int:
         print("only --function t is supported", file=sys.stderr)
         return EXIT_BAD_INPUT
     a, b = ns.interval
-    x = MeasurableFunction.identity_on(a, b)
+    try:
+        x = MeasurableFunction.identity_on(a, b)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_BAD_INPUT
     res = level_set_integral(x, ElementaryIntegral(length_premeasure()),
                              n_max=ns.depth, ceiling=Fraction(ns.ceiling))
     record = {"config": {"command": "integrate", "function": ns.function,
@@ -245,8 +250,17 @@ def _cmd_verify_all(ns) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse reads only plain negative decimals as values; -1/4, -1,2 and
+    # -0.3,0.2 would parse as options.  No option here starts with '-' and
+    # a digit.  Subparsers inherit the class.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="daniell")
+    p = _Parser(prog="daniell")
     p.add_argument("--output", default="-", help="output path, - for stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     sub = p.add_subparsers(dest="command", required=True)

@@ -5,9 +5,11 @@ value problem for continuous boundary data g and read off the solution
 at an interior point x.  Two independent solvers are provided so each
 can serve as the other's oracle:
 
-* a finite-difference solver (polar grid on the unit disk, so the
-  boundary is represented exactly; a standard 5-point grid on the unit
-  square), and
+* a finite-difference solver: a polar 5-point grid on the unit disk, so
+  the boundary is represented exactly, solved by an FFT in theta and one
+  tridiagonal solve in r per Fourier mode; a standard 5-point grid on the
+  unit square, diagonalised by the DST-I in both directions.  Both use
+  numpy alone and report the residual of the stencil they solved; and
 * walk-on-spheres: unbiased point estimates with a reported standard
   error.
 
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,61 +138,45 @@ class SolverFailure(RuntimeError):
 
 
 def _solve_disk_grid(dom: DiskDomain, g: BoundaryFunction, tol: float) -> HarmonicField:
+    """Polar 5-point scheme on rings i*hr, centre = mean of ring 1.
+
+    An rfft in theta leaves one tridiagonal system in r per mode k; only
+    mode 0 sees the centre, and only the last ring has data, so the
+    Thomas back substitution is U_i = -c'_i U_{i+1}.
+    """
     nr = max(4, round(1.0 / dom.h))
     ntheta = max(16, 1 << int(math.ceil(math.log2(TWO_PI / dom.h))))
     hr = 1.0 / nr
     ht = TWO_PI / ntheta
-    thetas = np.arange(ntheta) * ht
-    gb = np.asarray(g(thetas), dtype=float)
+    gb = np.asarray(g(np.arange(ntheta) * ht), dtype=float)
 
-    n_unknown = 1 + (nr - 1) * ntheta  # center + interior rings
+    r = np.arange(1, nr)[:, None] * hr
+    a_plus = 1.0 / hr**2 + 1.0 / (2.0 * r * hr)
+    a_minus = 1.0 / hr**2 - 1.0 / (2.0 * r * hr)
+    a_t = 1.0 / (r * ht) ** 2
+    diag = -2.0 / hr**2 - 2.0 * a_t * (1.0 - np.cos(np.arange(ntheta // 2 + 1) * ht))
+    diag[0, 0] += a_minus[0, 0]
 
-    rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
-    rhs = np.zeros(n_unknown)
+    c_prime = np.empty((nr - 2, diag.shape[1]))  # Thomas sweep, all modes at once
+    denom = diag[0]
+    for i in range(nr - 2):
+        c_prime[i] = a_plus[i] / denom
+        denom = diag[i + 1] - a_minus[i + 1] * c_prime[i]
+    modes = np.empty(diag.shape, dtype=complex)
+    modes[-1] = -a_plus[-1] * np.fft.rfft(gb) / denom
+    for i in range(nr - 3, -1, -1):
+        modes[i] = -c_prime[i] * modes[i + 1]
 
-    # center: harmonicity at r=0 as the mean over the first ring
-    js = np.arange(ntheta)
-    rows.append(np.zeros(ntheta, dtype=int))
-    cols.append(1 + js)
-    data.append(np.full(ntheta, -1.0 / ntheta))
-
-    for i in range(1, nr):
-        r = i * hr
-        a_plus = 1.0 / hr**2 + 1.0 / (2.0 * r * hr)
-        a_minus = 1.0 / hr**2 - 1.0 / (2.0 * r * hr)
-        a_t = 1.0 / (r * ht) ** 2
-        diag = -2.0 / hr**2 - 2.0 * a_t
-        row = 1 + (i - 1) * ntheta + js
-        for shift, coef in ((0, diag), (1, a_t), (-1, a_t)):
-            rows.append(row)
-            cols.append(1 + (i - 1) * ntheta + (js + shift) % ntheta)
-            data.append(np.full(ntheta, coef))
-        if i + 1 == nr:
-            rhs[row] -= a_plus * gb
-        else:
-            rows.append(row)
-            cols.append(1 + i * ntheta + js)
-            data.append(np.full(ntheta, a_plus))
-        if i - 1 == 0:
-            rows.append(row)
-            cols.append(np.zeros(ntheta, dtype=int))
-            data.append(np.full(ntheta, a_minus))
-        else:
-            rows.append(row)
-            cols.append(1 + (i - 2) * ntheta + js)
-            data.append(np.full(ntheta, a_minus))
-
-    mat = coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown),
-    ).tocsr()
-    sol = spsolve(mat, rhs)
-    residual = float(np.max(np.abs(mat @ sol - rhs)))
-    if not np.all(np.isfinite(sol)) or residual > max(tol, 1e-6):
-        raise SolverFailure(f"disk grid solve residual {residual}")
     values = np.empty((nr, ntheta))
-    values[0, :] = sol[0]
-    values[1:, :] = sol[1:].reshape(nr - 1, ntheta)
+    values[1:] = np.fft.irfft(modes, n=ntheta, axis=1)
+    values[0] = values[1].mean()
+    full = np.vstack([values, gb])
+    lap = (a_minus * full[:-2] + a_plus * full[2:]
+           + a_t * (np.roll(full[1:-1], 1, axis=1) + np.roll(full[1:-1], -1, axis=1))
+           - (2.0 / hr**2 + 2.0 * a_t) * full[1:-1])
+    residual = float(np.max(np.abs(lap)))
+    if not np.all(np.isfinite(values)) or residual > max(tol, 1e-6):
+        raise SolverFailure(f"disk grid solve residual {residual}")
     return HarmonicField(dom, values, gb, residual)
 
 
@@ -217,52 +201,46 @@ def _disk_interpolate(field: HarmonicField, x, y) -> float:
     return (1 - fr) * ring(i0) + fr * ring(i0 + 1)
 
 
+def _square_param(x, y):
+    """Arc length around the unit square, counterclockwise from (0,0)."""
+    return np.where(y == 0.0, x, np.where(x == 1.0, 1.0 + y,
+                                          np.where(y == 1.0, 3.0 - x, 4.0 - y)))
+
+
+def _dst1(a):
+    """DST-I along the last axis, by rfft of the odd extension:
+    out[..., k] = sum_j a[..., j] sin(pi (j+1)(k+1) / (m+1))."""
+    m = a.shape[-1]
+    zero = np.zeros(a.shape[:-1] + (1,))
+    ext = np.concatenate([zero, a, zero, -a[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1:m + 1]
+
+
 def _solve_square_grid(dom: DiskDomain, g: BoundaryFunction, tol: float) -> HarmonicField:
+    """5-point scheme, diagonalised by the DST-I in x and in y.
+
+    The 1-D second difference has eigenvalues 2 cos(k pi / n) - 2, k = 1..n-1.
+    """
     n = max(4, round(1.0 / dom.h))
     h = 1.0 / n
     xs = np.arange(n + 1) * h
+    full = np.zeros((n + 1, n + 1))  # full[i, j] is the value at (xs[i], xs[j])
+    for e in (0, n):
+        side = np.full(n + 1, xs[e])
+        full[:, e] = g(_square_param(xs, side))
+        full[e, :] = g(_square_param(side, xs))
 
-    def bparam(x, y):
-        # arc length around the unit square, counterclockwise from (0,0)
-        if y == 0.0:
-            return x
-        if x == 1.0:
-            return 1.0 + y
-        if y == 1.0:
-            return 3.0 - x
-        return 4.0 - y
+    def lap(u):  # the 5-point stencil at the interior points
+        return u[2:, 1:n] + u[:-2, 1:n] + u[1:n, 2:] + u[1:n, :-2] - 4.0 * u[1:n, 1:n]
 
-    bvals = np.zeros((n + 1, n + 1))
-    for i in (0, n):
-        for j in range(n + 1):
-            bvals[i, j] = g(bparam(xs[i], xs[j]))
-            bvals[j, i] = g(bparam(xs[j], xs[i]))
-
-    m = n - 1
-
-    def idx(i, j):
-        return (i - 1) * m + (j - 1)
-
-    rows, cols, data = [], [], []
-    rhs = np.zeros(m * m)
-    for i in range(1, n):
-        for j in range(1, n):
-            row = idx(i, j)
-            rows.append(row); cols.append(row); data.append(-4.0)
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if ii in (0, n) or jj in (0, n):
-                    rhs[row] -= bvals[ii, jj]
-                else:
-                    rows.append(row); cols.append(idx(ii, jj)); data.append(1.0)
-    mat = coo_matrix((data, (rows, cols)), shape=(m * m, m * m)).tocsr()
-    sol = spsolve(mat, rhs)
-    residual = float(np.max(np.abs(mat @ sol - rhs))) / h**2
-    if not np.all(np.isfinite(sol)):
+    rhs = -lap(full)  # the interior is still zero, so these are the boundary terms
+    lam = 2.0 * np.cos(np.arange(1, n) * math.pi / n) - 2.0
+    coef = _dst1(_dst1(rhs).T).T / (lam[:, None] + lam[None, :])
+    full[1:n, 1:n] = (2.0 / n) ** 2 * _dst1(_dst1(coef).T).T
+    residual = float(np.max(np.abs(lap(full)))) / h**2
+    if not np.all(np.isfinite(full)):
         raise SolverFailure("square grid solve failed")
-    full = np.array(bvals)
-    full[1:n, 1:n] = sol.reshape(m, m)
-    boundary = np.concatenate([bvals[0, :], bvals[:, 0], bvals[n, :], bvals[:, n]])
+    boundary = np.concatenate([full[0, :], full[:, 0], full[n, :], full[:, n]])
     return HarmonicField(dom, full, boundary, residual)
 
 
@@ -311,20 +289,26 @@ def solve_dirichlet(dom: DiskDomain, g: BoundaryFunction,
 def _wos_estimate(dom: DiskDomain, g: BoundaryFunction, x, y, walks, seed,
                   shell, max_steps=10_000):
     rng = np.random.default_rng(seed)
-    px = np.full(walks, float(x))
-    py = np.full(walks, float(y))
-    active = np.ones(walks, dtype=bool)
+    px = np.empty(walks)  # exit points, by walker
+    py = np.empty(walks)
+    live = np.arange(walks)  # walkers still farther than ``shell`` from the boundary
+    lx = np.full(walks, float(x))
+    ly = np.full(walks, float(y))
     for _ in range(max_steps):
         if dom.shape is Shape.UNIT_DISK:
-            dist = 1.0 - np.hypot(px, py)
+            dist = 1.0 - np.hypot(lx, ly)
         else:
-            dist = np.minimum(np.minimum(px, 1.0 - px), np.minimum(py, 1.0 - py))
+            dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly))
         active = dist > shell
-        if not active.any():
+        if not active.all():
+            done = live[~active]
+            px[done], py[done] = lx[~active], ly[~active]
+            live, lx, ly, dist = live[active], lx[active], ly[active], dist[active]
+        if live.size == 0:
             break
-        ang = rng.uniform(0.0, TWO_PI, size=int(active.sum()))
-        px[active] += dist[active] * np.cos(ang)
-        py[active] += dist[active] * np.sin(ang)
+        ang = rng.uniform(0.0, TWO_PI, size=live.size)
+        lx += dist * np.cos(ang)
+        ly += dist * np.sin(ang)
     else:
         raise SolverFailure("walk-on-spheres did not terminate")
     if dom.shape is Shape.UNIT_DISK:

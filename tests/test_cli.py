@@ -137,6 +137,31 @@ def test_bad_interval_exit_code():
     assert p.returncode == 3
 
 
+# -- values that start with '-' -------------------------------------------------------
+
+
+def test_dirichlet_point_with_negative_coordinate():
+    out = run_json("dirichlet", "--g", "cos", "--x", "-0.3,0.2", "--h", "0.03125")
+    assert out["config"]["x"] == "-0.3,0.2"
+    assert abs(out["value"] + 0.3) < 30 * 0.03125**2  # u = x for g = cos
+
+
+def test_interval_with_negative_rational_endpoint():
+    out = run_json("lebesgue", "--interval", "-1/4", "1", "--depth", "24")
+    assert out["config"]["interval"] == ["-1/4", "1"]
+    assert frac(out["result"]["lower"]) <= Fraction(5, 4) <= frac(out["result"]["upper"])
+    # integrate takes t on [a, b) with 0 <= a only: a clean input error, not usage
+    p = run_cli("integrate", "--interval", "-1/4", "1")
+    assert p.returncode == 3
+    assert "0 <= a < b" in p.stderr
+
+
+def test_decompose_leading_negative_weight():
+    out = run_json("decompose", "--weights", "-1,2")
+    assert out["config"]["weights"] == "-1,2"
+    assert frac(out["Splus"]) == 2 and frac(out["Sminus"]) == 1
+
+
 def test_rings_suite_exits_zero():
     p = run_cli("rings")
     assert p.returncode == 0

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from daniell import verify
 from daniell.dirichlet import (
     BoundaryFunction,
     DiskDomain,
@@ -23,6 +24,7 @@ from daniell.dirichlet import (
     Shape,
     SolveConfig,
     Solver,
+    SolverFailure,
     arc_ramp,
     extend_boundary,
     harmonic_measure_of_arc,
@@ -32,6 +34,8 @@ from daniell.dirichlet import (
 
 COARSE = SolveConfig(domain=DiskDomain(Shape.UNIT_DISK, 1 / 32))
 FINE = SolveConfig(domain=DiskDomain(Shape.UNIT_DISK, 1 / 128))
+# continuous data on the square, by arc length counterclockwise from (0, 0)
+SQUARE_COS = BoundaryFunction(lambda s: np.cos(np.pi * np.asarray(s) / 2))
 
 
 def poisson_oracle(g, r, theta):
@@ -175,3 +179,106 @@ def test_wos_deterministic_under_seed():
         solver=Solver.WALK_ON_SPHERES, seed=8, walks=10_000,
     )
     assert ix_eval((0.2, 0.3), g, cfg) == ix_eval((0.2, 0.3), g, cfg)
+    # exact floats of the fixed-seed estimator: any change to the walk or
+    # to the order and size of its random draws shows here
+    assert ix_eval((0.2, 0.3), g, cfg) == (0.626388193992985, 0.004611143853207737)
+    square = SolveConfig(domain=DiskDomain(Shape.UNIT_SQUARE, 1 / 32),
+                         solver=Solver.WALK_ON_SPHERES, seed=3, walks=20_000)
+    assert ix_eval((0.3, 0.6), SQUARE_COS, square) == (0.13359147707429062,
+                                                        0.00463694723366606)
+
+
+# -- the grid solvers against a dense assembly of the same scheme ---------------------
+
+
+def dense_polar_solve(h, g):
+    """Centre plus rings i=1..nr-1 of the polar 5-point scheme, solved densely."""
+    nr = round(1 / h)
+    nt = max(16, 1 << math.ceil(math.log2(2 * math.pi / h)))
+    hr, ht = 1 / nr, 2 * math.pi / nt
+    gb = g(np.arange(nt) * ht)
+    n = 1 + (nr - 1) * nt
+    mat, rhs = np.zeros((n, n)), np.zeros(n)
+
+    def idx(i, j):
+        return 0 if i == 0 else 1 + (i - 1) * nt + j % nt
+
+    mat[0, 0] = 1.0
+    mat[0, 1:1 + nt] = -1.0 / nt  # the centre is the mean of ring 1
+    for i in range(1, nr):
+        r = i * hr
+        a_plus = 1 / hr**2 + 1 / (2 * r * hr)
+        a_minus = 1 / hr**2 - 1 / (2 * r * hr)
+        a_t = 1 / (r * ht) ** 2
+        for j in range(nt):
+            row = idx(i, j)
+            mat[row, row] += -2 / hr**2 - 2 * a_t
+            mat[row, idx(i, j + 1)] += a_t
+            mat[row, idx(i, j - 1)] += a_t
+            mat[row, idx(i - 1, j)] += a_minus
+            if i + 1 == nr:
+                rhs[row] -= a_plus * gb[j]
+            else:
+                mat[row, idx(i + 1, j)] += a_plus
+    sol = np.linalg.solve(mat, rhs)
+    return np.vstack([np.full(nt, sol[0]), sol[1:].reshape(nr - 1, nt)])
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_disk_solver_matches_dense_assembly(n):
+    def g(s):
+        s = np.asarray(s)
+        return np.cos(2 * (s - 0.3)) + 0.5 * np.sin(s) + np.abs(np.sin(3 * s))
+
+    field = solve_dirichlet(DiskDomain(Shape.UNIT_DISK, 1 / n), BoundaryFunction(g))
+    assert np.max(np.abs(field.values - dense_polar_solve(1 / n, g))) < 1e-12
+    assert field.residual < 1e-9
+
+
+@pytest.mark.parametrize("shape", [Shape.UNIT_DISK, Shape.UNIT_SQUARE])
+def test_nan_boundary_data_raises(shape):
+    g = BoundaryFunction(lambda s: np.where(np.asarray(s) < 0.5, np.nan, 1.0))
+    with pytest.raises(SolverFailure):
+        solve_dirichlet(DiskDomain(shape, 1 / 16), g)
+
+
+# -- the unit square ---------------------------------------------------------------------
+
+
+SQUARE_POINTS = [(0.5, 0.5), (0.1, 0.9), (0.3, 0.6), (0.8, 0.25), (0.97, 0.03)]
+
+
+def square_boundary_x(s):
+    """u = x on the boundary, by arc length counterclockwise from (0, 0)."""
+    s = np.mod(np.asarray(s, dtype=float), 4.0)
+    return np.where(s < 1, s, np.where(s < 2, 1.0, np.where(s < 3, 3.0 - s, 0.0)))
+
+
+def test_square_reproduces_linear_data():
+    # the 5-point scheme is exact on u = x, so only rounding remains
+    field = solve_dirichlet(DiskDomain(Shape.UNIT_SQUARE, 1 / 64),
+                            BoundaryFunction(square_boundary_x))
+    for x, y in SQUARE_POINTS:
+        assert abs(field.at(x, y) - x) < 1e-12
+    assert field.residual < 1e-6
+
+
+def test_square_grid_agrees_with_wos():
+    h = 1 / 64
+    grid = SolveConfig(domain=DiskDomain(Shape.UNIT_SQUARE, h))
+    wos = SolveConfig(domain=DiskDomain(Shape.UNIT_SQUARE, h),
+                      solver=Solver.WALK_ON_SPHERES, seed=1, walks=40_000)
+    for p in SQUARE_POINTS[:4]:
+        ref, _ = ix_eval(p, SQUARE_COS, grid)
+        val, err = ix_eval(p, SQUARE_COS, wos)
+        assert err > 0
+        assert abs(val - ref) < 3 * err + h * h
+
+
+# -- the invariant suite ------------------------------------------------------------------
+
+
+def test_dirichlet_suite_quick_passes():
+    results = verify.dirichlet_suite(quick=True)
+    assert results and all(r["pass"] for r in results), [
+        r["name"] for r in results if not r["pass"]]
