@@ -19,7 +19,6 @@ from .rings import (
     boolean_combine,
     check_additivity,
     length_premeasure,
-    premeasure_eval,
     weighted_counting_premeasure,
 )
 from .lattice import LatticeOp, SimpleFunction, canonicalize, lattice_op
@@ -27,12 +26,9 @@ from .functional import (
     DecomposedFunctional,
     ElementaryIntegral,
     SignedFunctional,
-    integrate_simple,
     jordan_decompose,
     positive_part,
     positive_part_bruteforce,
-    verify_i_axioms,
-    verify_s_axioms,
 )
 from .extension import (
     Direction,

@@ -213,11 +213,11 @@ def _cmd_dirichlet(ns) -> int:
 
             g = dmod.BoundaryFunction(lambda s: _np.cos(s))
         v, se = dmod.ix_eval(x, g, cfg)
-        record = {"value": v, "stderr": se, "harnack_gap": 0.0}
+        record = {"value": v, "stderr": se}
     record = {"config": {"command": "dirichlet", "domain": ns.domain,
                          "g": ns.g, "x": ns.x, "solver": ns.solver,
                          "walks": ns.walks, "seed": seed, "h": ns.h,
-                         "depth": ns.depth, "tol": ns.tol},
+                         "depth": ns.depth},
               **record}
     _emit(ns, record)
     return EXIT_OK
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--h", type=float, default=1.0 / 128.0)
     sp.add_argument("--depth", type=int, default=16)
-    sp.add_argument("--tol", type=float, default=0.05)
     sp.set_defaults(fn=_cmd_dirichlet)
 
     for name in ("rings", "lattice"):

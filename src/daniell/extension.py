@@ -8,8 +8,10 @@ E_{k,n} = {t : x(t) > k 2^-n}: the partial sum
     S_n = 2^-n * sum_{k=1}^{2^(2n)} mu(E_{k,n})
 
 increases to the integral, and the defect x - phi_n is < 2^-n on the
-support wherever x is finite, which yields the bracket width
-2^-n * mu(support).
+support wherever x <= 2^n, which yields the bracket width
+2^-n * mu(support).  Where x exceeds 2^n on a set of positive measure
+at the last depth, the sum is cut off and no upper bound follows: the
+result then has upper = +inf and is not converged.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from fractions import Fraction
 
 from .extreal import ExtReal, POS_INF
 from .functional import ElementaryIntegral, NonMonotoneSequence
-from .lattice import SimpleFunction, canonicalize, level_set, meet
-from .rings import BooleanOp, RingSet, Universe, UniverseKind, boolean_combine
+from .lattice import SimpleFunction, canonicalize, level_set
+from .rings import BooleanOp, RingSet, Universe, boolean_combine
 
 DEFAULT_LEVEL_DEPTH = 16
 DEFAULT_SEQ_DEPTH = 1000
@@ -243,21 +245,25 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
     """Integral of nonnegative x via dyadic level-set sums S_n.
 
     Stops early when successive sums differ by less than ``tol``.
-    Reports +inf when the sums pass the ceiling.
+    Reports +inf when the sums pass the ceiling, and an upper bound of
+    +inf when the last sum is cut off at k = 2^(2n) with mass above it.
     """
     if not x.nonnegative:
         raise ValueError("level_set_integral needs a nonnegative function")
     prev = None
     s_n = Fraction(0)
     n_used = 0
+    truncated = False
     for n in range(1, n_max + 1):
         scale = Fraction(1, 2**n)
         if x.simple is not None:
-            total = _simple_level_sum(x.simple, i, n)
-            if total is None:
+            level_sum = _simple_level_sum(x.simple, i, n)
+            if level_sum is None:
                 return IntegralResult(POS_INF, ExtReal(s_n), POS_INF, n, False)
+            total, truncated = level_sum
         else:
             total = Fraction(0)
+            truncated = False
             for k in range(1, 2 ** (2 * n) + 1):
                 e = x.level_set(k, n)
                 if e.is_empty:
@@ -266,6 +272,8 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
                 if not m.is_finite:
                     return IntegralResult(POS_INF, ExtReal(total), POS_INF, n, False)
                 total += m.value
+            else:
+                truncated = m.value > 0
         s_n = scale * total
         n_used = n
         if s_n > ceiling:
@@ -273,6 +281,8 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
         if prev is not None and tol is not None and abs(s_n - prev) < Fraction(tol):
             break
         prev = s_n
+    if truncated:
+        return IntegralResult(ExtReal(s_n), ExtReal(s_n), POS_INF, n_used, False)
     if x.support is not None:
         supp_measure = i.mu(x.support)
         if not supp_measure.is_finite:
@@ -286,15 +296,18 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
 
 
 def _simple_level_sum(xc: SimpleFunction, i: ElementaryIntegral, n: int):
-    """sum_k mu(E_{k,n}) for canonical simple xc, collapsed analytically.
+    """(sum_k mu(E_{k,n}), truncated) for canonical simple xc, the sum
+    collapsed analytically.
 
     The canonical pieces are disjoint, so each piece S with value c
     contributes mu(S) for every k with k 2^-n < c, i.e. for
-    min(2^(2n), #{k : k < c 2^n}) values of k.  Returns None when a
-    contributing piece has infinite measure.
+    min(2^(2n), #{k : k < c 2^n}) values of k.  ``truncated`` says that
+    a piece of positive measure lies above the last level 2^n.  Returns
+    None when a contributing piece has infinite measure.
     """
     cap = 2 ** (2 * n)
     total = Fraction(0)
+    truncated = False
     for c, s in canonicalize(xc).terms:
         if c <= 0:
             continue
@@ -302,14 +315,14 @@ def _simple_level_sum(xc: SimpleFunction, i: ElementaryIntegral, n: int):
         count = v.numerator // v.denominator
         if v.denominator == 1:
             count -= 1  # strict inequality k < v
-        count = min(max(count, 0), cap)
-        if count == 0:
+        if count <= 0:
             continue
         m = i.mu(s)
         if not m.is_finite:
             return None
-        total += count * m.value
-    return total
+        truncated = truncated or (count > cap and m.value > 0)
+        total += min(count, cap) * m.value
+    return total, truncated
 
 
 def indicator_measurable(e: RingSet) -> MeasurableFunction:
@@ -347,7 +360,7 @@ def measure_from_integral(i: ElementaryIntegral, e: RingSet,
     if not res.value.is_finite:
         return POS_INF
     exact = i.integrate(x.simple)
-    if not (res.lower.value <= exact <= res.upper.value):
+    if not res.lower <= ExtReal(exact) <= res.upper:
         raise ValueError("dyadic bracket excludes the elementary value")
     return ExtReal(exact)
 

@@ -17,12 +17,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import ExtReal
 from .lattice import (
     SimpleFunction,
-    absolute,
     canonicalize,
-    is_nonnegative,
     neg_part,
     pos_part,
 )
@@ -56,10 +53,6 @@ class ElementaryIntegral:
         return total
 
     __call__ = integrate
-
-
-def integrate_simple(i: ElementaryIntegral, x: SimpleFunction) -> Fraction:
-    return i.integrate(x)
 
 
 @dataclass(frozen=True)
@@ -176,105 +169,3 @@ class NonMonotoneSequence(ValueError):
         super().__init__(f"sequence not monotone at n={index}, t={probe!r}")
         self.index = index
         self.probe = probe
-
-
-def _check_decreasing_to_zero(seq, depth, probes):
-    prev = None
-    for n in range(1, depth + 1):
-        cur = seq(n)
-        for t in probes:
-            v = cur.eval(t)
-            if v.value < 0:
-                raise NonMonotoneSequence(n, t)
-            if prev is not None and v > prev.eval(t):
-                raise NonMonotoneSequence(n, t)
-        prev = cur
-    return prev
-
-
-def verify_i_axioms(i: ElementaryIntegral, seqs, depth, tol, *, fuzz_pairs,
-                    probes) -> list:
-    """Check (D1) linearity, (D2) continuity along decreasing sequences,
-    and (D3) positivity; returns one report record per axiom.
-
-    ``seqs`` are callables n -> SimpleFunction, certified pointwise
-    decreasing to 0 at the probes.  ``fuzz_pairs`` is an iterable of
-    (a, b, x, y) scalar/function tuples for the linearity check.
-    """
-    tol = Fraction(tol)
-    reports = []
-
-    witness = None
-    for a, b, x, y in fuzz_pairs:
-        combo = x.scale(a) + y.scale(b)
-        resid = i.integrate(combo) - Fraction(a) * i.integrate(x) - Fraction(b) * i.integrate(y)
-        if resid != 0:
-            witness = {"residual": str(resid)}
-            break
-    reports.append({"axiom": "D1", "pass": witness is None, "witness": witness})
-
-    d2_pass, achieved = True, Fraction(0)
-    for seq in seqs:
-        last = _check_decreasing_to_zero(seq, depth, probes)
-        val = i.integrate(last)
-        achieved = max(achieved, val)
-        if val >= tol:
-            d2_pass = False
-    reports.append({
-        "axiom": "D2",
-        "depth": depth,
-        "achieved": [achieved.numerator, achieved.denominator],
-        "tol": [tol.numerator, tol.denominator],
-        "pass": d2_pass,
-        "witness": None,
-    })
-
-    witness = None
-    for _, _, x, _ in fuzz_pairs:
-        ax = absolute(x)
-        if i.integrate(ax) < 0:
-            witness = {"value": str(i.integrate(ax))}
-            break
-    reports.append({"axiom": "D3", "pass": witness is None, "witness": witness})
-    return reports
-
-
-def verify_s_axioms(s: SignedFunctional, seqs, depth, tol, *, fuzz_pairs,
-                    probes) -> list:
-    """verify_i_axioms analogue for signed functionals, plus the (S3)
-    domination |S(x)| <= M(|x|)."""
-    tol = Fraction(tol)
-    reports = []
-
-    witness = None
-    for a, b, x, y in fuzz_pairs:
-        combo = x.scale(a) + y.scale(b)
-        resid = s(combo) - Fraction(a) * s(x) - Fraction(b) * s(y)
-        if resid != 0:
-            witness = {"residual": str(resid)}
-            break
-    reports.append({"axiom": "S1", "pass": witness is None, "witness": witness})
-
-    s2_pass, achieved = True, Fraction(0)
-    for seq in seqs:
-        last = _check_decreasing_to_zero(seq, depth, probes)
-        val = abs(s(last))
-        achieved = max(achieved, val)
-        if val >= tol:
-            s2_pass = False
-    reports.append({
-        "axiom": "S2",
-        "depth": depth,
-        "achieved": [achieved.numerator, achieved.denominator],
-        "tol": [tol.numerator, tol.denominator],
-        "pass": s2_pass,
-        "witness": None,
-    })
-
-    witness = None
-    for _, _, x, _ in fuzz_pairs:
-        if abs(s(x)) > s.bound(absolute(x)):
-            witness = {"x": x.to_json()}
-            break
-    reports.append({"axiom": "S3", "pass": witness is None, "witness": witness})
-    return reports

@@ -97,20 +97,22 @@ def _set_sort_key(s: RingSet):
     return s.intervals
 
 
-def _refine(pieces, r: RingSet, coeff: Fraction):
-    """Add (coeff, r) to a disjoint piece list, splitting as needed."""
+def _refine(pieces, r: RingSet, add, zero):
+    """Refine a disjoint (value, set) list by r: the part of each piece
+    inside r takes value add(value), and the part of r outside every
+    piece becomes a new piece of value add(zero)."""
     out = []
     rest = r
-    for d, b in pieces:
+    for v, b in pieces:
         inside = boolean_combine(BooleanOp.INTERSECT, b, r)
         outside = boolean_combine(BooleanOp.DIFFERENCE, b, r)
         if not inside.is_empty:
-            out.append((d + coeff, inside))
+            out.append((add(v), inside))
         if not outside.is_empty:
-            out.append((d, outside))
+            out.append((v, outside))
         rest = boolean_combine(BooleanOp.DIFFERENCE, rest, b)
     if not rest.is_empty:
-        out.append((coeff, rest))
+        out.append((add(zero), rest))
     return out
 
 
@@ -122,33 +124,20 @@ def canonicalize(x: SimpleFunction) -> SimpleFunction:
     for c, r in x.terms:
         if r.is_empty:
             continue
-        pieces = _refine(pieces, r, c)
+        pieces = _refine(pieces, r, lambda d: d + c, Fraction(0))
     pieces = [(c, s) for c, s in pieces if c != 0]
     pieces.sort(key=lambda p: _set_sort_key(p[1]))
     return SimpleFunction(x.universe, tuple(pieces), canonical=True)
 
 
 def _common_atoms(x: SimpleFunction, y: SimpleFunction):
-    """Disjoint sets on which both x and y are constant; (set, vx, vy) triples.
-
-    Off the returned atoms both functions vanish.
+    """Disjoint sets on which both x and y are constant, as ((vx, vy), set)
+    pairs.  Off the returned atoms both functions vanish.
     """
-    xc, yc = canonicalize(x), canonicalize(y)
-    atoms = [(s, c, Fraction(0)) for c, s in xc.terms]
-    for d, b in yc.terms:
-        out = []
-        rest = b
-        for s, vx, vy in atoms:
-            inside = boolean_combine(BooleanOp.INTERSECT, s, b)
-            outside = boolean_combine(BooleanOp.DIFFERENCE, s, b)
-            if not inside.is_empty:
-                out.append((inside, vx, vy + d))
-            if not outside.is_empty:
-                out.append((outside, vx, vy))
-            rest = boolean_combine(BooleanOp.DIFFERENCE, rest, s)
-        if not rest.is_empty:
-            out.append((rest, Fraction(0), d))
-        atoms = out
+    zero = Fraction(0)
+    atoms = [((c, zero), s) for c, s in canonicalize(x).terms]
+    for d, b in canonicalize(y).terms:
+        atoms = _refine(atoms, b, lambda v: (v[0], v[1] + d), (zero, zero))
     return atoms
 
 
@@ -164,7 +153,7 @@ def lattice_op(op: LatticeOp, x: SimpleFunction, y: SimpleFunction | None = None
         )
     if op is LatticeOp.ABS:
         atoms = _common_atoms(x, SimpleFunction.zero(x.universe))
-        terms = [(abs(vx), s) for s, vx, _ in atoms]
+        terms = [(abs(vx), s) for (vx, _), s in atoms]
         return canonicalize(SimpleFunction(x.universe, tuple(terms)))
     if y is None:
         raise ValueError(f"{op.value} needs a second argument")
@@ -174,7 +163,7 @@ def lattice_op(op: LatticeOp, x: SimpleFunction, y: SimpleFunction | None = None
         return canonicalize(SimpleFunction(x.universe, x.terms + y.terms))
     atoms = _common_atoms(x, y)
     fn = min if op is LatticeOp.MEET else max
-    terms = [(fn(vx, vy), s) for s, vx, vy in atoms]
+    terms = [(fn(vx, vy), s) for (vx, vy), s in atoms]
     return canonicalize(SimpleFunction(x.universe, tuple(terms)))
 
 

@@ -7,17 +7,20 @@ path space (where all set algebra is delegated to the cylinder code in
 :mod:`daniell.wiener`).
 
 Intervals are half-open ``[a, b)`` so that differences stay inside the
-ring with exact rational arithmetic.
+ring with exact rational arithmetic.  Their union, intersection and
+difference come from :mod:`daniell.intervals`; endpoints are made
+``Fraction`` once, when a set is built from pairs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .extreal import ExtReal, POS_INF
+from . import intervals as iv
+from .extreal import ExtReal
 
 
 class UniverseKind(Enum):
@@ -66,47 +69,6 @@ class UniverseMismatch(ValueError):
     """Raised when two ring sets live over different universes."""
 
 
-def _merge_intervals(pairs):
-    """Sort, drop empty, and merge overlapping/adjacent half-open intervals."""
-    ivs = sorted((Fraction(a), Fraction(b)) for a, b in pairs if Fraction(a) < Fraction(b))
-    merged = []
-    for a, b in ivs:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return tuple(merged)
-
-
-def _intervals_intersect(xs, ys):
-    out = []
-    for a, b in xs:
-        for c, d in ys:
-            lo, hi = max(a, c), min(b, d)
-            if lo < hi:
-                out.append((lo, hi))
-    return _merge_intervals(out)
-
-
-def _intervals_difference(xs, ys):
-    out = []
-    for a, b in xs:
-        pieces = [(a, b)]
-        for c, d in ys:
-            nxt = []
-            for p, q in pieces:
-                if d <= p or q <= c:
-                    nxt.append((p, q))
-                    continue
-                if p < c:
-                    nxt.append((p, c))
-                if d < q:
-                    nxt.append((d, q))
-            pieces = nxt
-        out.extend(pieces)
-    return _merge_intervals(out)
-
-
 class BooleanOp(Enum):
     UNION = "union"
     INTERSECT = "intersect"
@@ -126,7 +88,7 @@ class RingSet:
     universe: Universe
     points: tuple = ()
     intervals: tuple = ()
-    cylinders: tuple = field(default=(), compare=True)
+    cylinders: tuple = ()
 
     @staticmethod
     def finite(universe: Universe, labels) -> RingSet:
@@ -143,7 +105,8 @@ class RingSet:
         universe = universe or Universe.real_line()
         if universe.kind is not UniverseKind.REAL_LINE:
             raise ValueError("interval body requires the real line universe")
-        return RingSet(universe, intervals=_merge_intervals(pairs))
+        return RingSet(universe, intervals=iv.normalize(
+            (Fraction(a), Fraction(b)) for a, b in pairs))
 
     @staticmethod
     def interval(a, b) -> RingSet:
@@ -167,8 +130,7 @@ class RingSet:
         if self.universe.kind is UniverseKind.FINITE:
             return t in self.points
         if self.universe.kind is UniverseKind.REAL_LINE:
-            t = Fraction(t)
-            return any(a <= t < b for a, b in self.intervals)
+            return iv.contains(self.intervals, Fraction(t))
         return any(c.contains(t) for c in self.cylinders)
 
     def subset_of(self, other: RingSet) -> bool:
@@ -215,6 +177,13 @@ class RingSet:
         )
 
 
+_INTERVAL_OPS = {
+    BooleanOp.UNION: iv.union,
+    BooleanOp.INTERSECT: iv.intersect,
+    BooleanOp.DIFFERENCE: iv.difference,
+}
+
+
 def boolean_combine(op: BooleanOp, a: RingSet, b: RingSet) -> RingSet:
     """Union / intersection / difference, returned in canonical form."""
     if a.universe != b.universe:
@@ -230,13 +199,7 @@ def boolean_combine(op: BooleanOp, a: RingSet, b: RingSet) -> RingSet:
             body = sa - sb
         return RingSet.finite(u, body)
     if u.kind is UniverseKind.REAL_LINE:
-        if op is BooleanOp.UNION:
-            ivs = _merge_intervals(list(a.intervals) + list(b.intervals))
-        elif op is BooleanOp.INTERSECT:
-            ivs = _intervals_intersect(a.intervals, b.intervals)
-        else:
-            ivs = _intervals_difference(a.intervals, b.intervals)
-        return RingSet(u, intervals=ivs)
+        return RingSet(u, intervals=_INTERVAL_OPS[op](a.intervals, b.intervals))
     from . import wiener
 
     return RingSet.path_space(wiener.family_combine(op, a.cylinders, b.cylinders))
@@ -310,10 +273,6 @@ def weighted_counting_premeasure(universe: Universe, weights=None, name=None) ->
         name=name or ("signed_weights" if signed else "counting"),
         signed=signed,
     )
-
-
-def premeasure_eval(mu: PreMeasure, e: RingSet) -> ExtReal:
-    return mu(e)
 
 
 class OverlapError(ValueError):

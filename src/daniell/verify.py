@@ -47,7 +47,6 @@ from .lattice import (
     absolute,
     canonicalize,
     join,
-    lattice_op,
     meet,
 )
 from .lebesgue import (
@@ -509,11 +508,7 @@ def wiener_suite(quick=False, seed=5):
                 sets_b.append(s)
         da = wmod.Cylinder.of(times, sets_a)
         db = wmod.Cylinder.of(times, sets_b)
-        union_sets = [
-            wmod.rs_normalize(list(sa) + list(sb))
-            for sa, sb in zip(sets_a, sets_b)
-        ]
-        du = wmod.Cylinder.of(times, union_sets)
+        du = wmod.Cylinder.of(times, [sa + sb for sa, sb in zip(sets_a, sets_b)])
         tol = 1e-7
         va = wmod.wiener_premeasure(da, tol=tol)["value"]
         vb = wmod.wiener_premeasure(db, tol=tol)["value"]
@@ -527,8 +522,8 @@ def wiener_suite(quick=False, seed=5):
     for case in range(3 if quick else 10):
         d1 = _random_cylinder(rng)
         d2 = _random_cylinder(rng)
-        inter = wmod.cylinder_combine(wmod.CylinderOp.INTERSECT, d1, d2)
-        diff = wmod.cylinder_combine(wmod.CylinderOp.DIFFERENCE, d1, d2)
+        inter = wmod.cylinder_combine(BooleanOp.INTERSECT, d1, d2)
+        diff = wmod.cylinder_combine(BooleanOp.DIFFERENCE, d1, d2)
         times = sorted(set(d1.times) | set(d2.times))
         w = wmod.sample_paths(times, n_paths, seed=seed * 100 + case)
         for row in w[:2000]:

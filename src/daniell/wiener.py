@@ -2,7 +2,8 @@
 
 Paths live on [0, 1] with f(0) = 0.  A cylinder constrains the path at
 finitely many times t_1 < ... < t_n = 1 to Borel sets (finite unions of
-intervals and rays).  The premeasure is the probability that a standard
+intervals and rays, with float endpoints; their algebra comes from
+:mod:`daniell.intervals`).  The premeasure is the probability that a standard
 Brownian path satisfies the constraints, computed either by nested
 quadrature of the transition-kernel product (the innermost layer in
 closed form through erf) or by Monte Carlo over Gaussian increments.
@@ -23,57 +24,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
+from . import intervals as iv
+from .rings import BooleanOp
+
 INF = float("inf")
 
-# -- interval unions over the real line (float endpoints) ----------------
-
-
-def rs_normalize(pairs):
-    ivs = sorted((float(lo), float(hi)) for lo, hi in pairs if float(lo) < float(hi))
-    merged = []
-    for lo, hi in ivs:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
-
-
-FULL_LINE = rs_normalize([(-INF, INF)])
-
-
-def rs_intersect(a, b):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo < hi:
-                out.append((lo, hi))
-    return rs_normalize(out)
-
-
-def rs_complement(a):
-    out = []
-    cur = -INF
-    for lo, hi in a:
-        if cur < lo:
-            out.append((cur, lo))
-        cur = max(cur, hi)
-    if cur < INF:
-        out.append((cur, INF))
-    return rs_normalize(out)
-
-
-def rs_difference(a, b):
-    return rs_intersect(a, rs_complement(b))
-
-
-def rs_contains(a, x):
-    return any(lo <= x < hi for lo, hi in a)
-
-
-def rs_is_full(a):
-    return a == FULL_LINE
+FULL_LINE = ((-INF, INF),)
 
 
 def rs_to_json(a):
@@ -97,7 +53,7 @@ def rs_from_json(obj):
 
     if obj and not isinstance(obj[0], (list, tuple)):
         obj = [obj]
-    return rs_normalize((end(lo), end(hi)) for lo, hi in obj)
+    return iv.normalize((end(lo), end(hi)) for lo, hi in obj)
 
 
 def _parse_time(v) -> Fraction:
@@ -120,7 +76,7 @@ class Cylinder:
     @staticmethod
     def of(times, sets) -> Cylinder:
         times = tuple(_parse_time(t) for t in times)
-        sets = tuple(rs_normalize(s) for s in sets)
+        sets = tuple(iv.normalize((float(lo), float(hi)) for lo, hi in s) for s in sets)
         if len(times) != len(sets):
             raise ValueError("one Borel set per time")
         if any(t <= 0 or t > 1 for t in times):
@@ -133,7 +89,7 @@ class Cylinder:
         keep = [
             (t, s)
             for idx, (t, s) in enumerate(zip(times, sets))
-            if not rs_is_full(s) or idx == len(times) - 1
+            if s != FULL_LINE or idx == len(times) - 1
         ]
         return Cylinder(tuple(t for t, _ in keep), tuple(s for _, s in keep))
 
@@ -147,7 +103,7 @@ class Cylinder:
 
     def contains(self, path) -> bool:
         get = path if callable(path) else path.__getitem__
-        return all(rs_contains(s, get(t)) for t, s in zip(self.times, self.sets))
+        return all(iv.contains(s, get(t)) for t, s in zip(self.times, self.sets))
 
     def on_partition(self, times) -> Cylinder:
         """Rewrite on a refinement of this cylinder's times (full line fills
@@ -169,68 +125,45 @@ class Cylinder:
         return Cylinder.of(obj["times"], [rs_from_json(s) for s in obj["sets"]])
 
 
-class CylinderOp(Enum):
-    INTERSECT = "intersect"
-    DIFFERENCE = "difference"
-
-
-def cylinder_combine(op: CylinderOp, d1: Cylinder, d2: Cylinder) -> list:
+def cylinder_combine(op: BooleanOp, d1: Cylinder, d2: Cylinder) -> list:
     """Intersection or difference over the merged partition.
 
     Returns a disjoint family of cylinders (a single difference can
     constrain several times, which one cylinder cannot express).
     """
     merged = tuple(sorted(set(d1.times) | set(d2.times)))
-    a = d1.on_partition(merged)
-    b = d2.on_partition(merged)
-    if op is CylinderOp.INTERSECT:
-        sets = tuple(rs_intersect(x, y) for x, y in zip(a.sets, b.sets))
-        if any(not s for s in sets):
-            return []
-        return [Cylinder.of(merged, sets)]
+    a = d1.on_partition(merged).sets
+    b = d2.on_partition(merged).sets
+    if op is BooleanOp.INTERSECT:
+        sets = tuple(iv.intersect(x, y) for x, y in zip(a, b))
+        return [Cylinder.of(merged, sets)] if all(sets) else []
     # difference: a and not-b, where not-b splits by the first violated slot
     out = []
-    for j in range(len(merged)):
-        if rs_is_full(b.sets[j]):
+    for j, bj in enumerate(b):
+        if bj == FULL_LINE:
             continue
-        sets = []
-        empty = False
-        for i in range(len(merged)):
-            if i < j:
-                s = rs_intersect(a.sets[i], b.sets[i])
-            elif i == j:
-                s = rs_difference(a.sets[i], b.sets[i])
-            else:
-                s = a.sets[i]
-            if not s and i != len(merged) - 1:
-                empty = True
-                break
-            if not s:
-                empty = True
-                break
-            sets.append(s)
-        if not empty:
-            out.append(Cylinder.of(merged, tuple(sets)))
+        sets = tuple(iv.intersect(x, y) for x, y in zip(a[:j], b[:j]))
+        sets += (iv.difference(a[j], bj),) + a[j + 1:]
+        if all(sets):
+            out.append(Cylinder.of(merged, sets))
     return out
 
 
 def family_combine(op, fam_a, fam_b) -> tuple:
     """Boolean algebra on finite unions of cylinders (ring-set delegation)."""
-    from .rings import BooleanOp
-
     fam_a, fam_b = list(fam_a), list(fam_b)
     if op is BooleanOp.INTERSECT:
         out = []
         for x in fam_a:
             for y in fam_b:
-                out.extend(cylinder_combine(CylinderOp.INTERSECT, x, y))
+                out.extend(cylinder_combine(BooleanOp.INTERSECT, x, y))
         return tuple(out)
     if op is BooleanOp.DIFFERENCE:
         pieces = fam_a
         for y in fam_b:
             nxt = []
             for x in pieces:
-                nxt.extend(cylinder_combine(CylinderOp.DIFFERENCE, x, y))
+                nxt.extend(cylinder_combine(BooleanOp.DIFFERENCE, x, y))
             pieces = nxt
         return tuple(pieces)
     # union as disjoint pieces: a, plus b with a removed

@@ -40,6 +40,17 @@ def test_integrate_bracket_example():
     assert out["config"]["depth"] == 8
 
 
+def test_integrate_truncated_bracket_is_not_certified():
+    # t on [0, 100) exceeds 2^depth = 4, so the level sums stop short of
+    # the integral 5000 and no finite upper bound is certified
+    out = run_json("integrate", "--interval", "0", "100", "--depth", "2")
+    res = out["result"]
+    assert res["upper"] == "+inf"
+    assert res["converged"] is False
+    assert res["value"] == res["lower"]
+    assert frac(res["lower"]) <= 5000
+
+
 def test_lebesgue_interval():
     out = run_json("lebesgue", "--interval", "1/3", "2", "--depth", "24")
     target = Fraction(5, 3)
@@ -100,6 +111,13 @@ def test_dirichlet_constant_data():
     out = run_json("dirichlet", "--g", "const:1", "--x", "0.3,0.2",
                    "--h", "0.03125")
     assert abs(out["value"] - 1.0) < 1e-6
+
+
+def test_dirichlet_point_record_has_no_placeholder_fields():
+    out = run_json("dirichlet", "--g", "const:1", "--x", "0,0", "--h", "0.0625")
+    assert "harnack_gap" not in out
+    assert "tol" not in out["config"]
+    assert run_cli("dirichlet", "--g", "const:1", "--x", "0,0", "--tol", "0.1").returncode == 2
 
 
 def test_dirichlet_arc_at_center():

@@ -87,6 +87,27 @@ def test_bracket_rule_width():
         assert res.upper.value - res.lower.value <= Fraction(2, 2**n)
 
 
+def test_truncated_bracket_is_not_certified():
+    # 100·χ[0,1) exceeds 2^n_max = 4, so S_2 = 4 stops short of 100 and
+    # no finite upper bound follows, on the from_simple and generic paths
+    phi = SimpleFunction.indicator(RingSet.interval(0, 1), 100)
+    big = MeasurableFunction.from_simple(SimpleFunction.indicator(RingSet.interval(0, 1), 200))
+    for x in (MeasurableFunction.from_simple(phi), big.meet_with_simple(phi)):
+        res = level_set_integral(x, LENGTH, n_max=2)
+        assert res.value == res.lower == ExtReal(4)
+        assert res.upper == POS_INF
+        assert not res.converged
+    res = level_set_integral(MeasurableFunction.from_simple(phi), LENGTH, n_max=7)
+    assert res.converged and res.lower <= ExtReal(100) <= res.upper
+    # mass-free excess is no truncation: a zero-weight atom may sit above 2^n
+    u = Universe.finite(("a", "b"))
+    i = ElementaryIntegral(weighted_counting_premeasure(u, {"a": 0, "b": 1}))
+    x = SimpleFunction.of(u, [(100, RingSet.finite(u, ("a",))),
+                              (Fraction(1, 2), RingSet.finite(u, ("b",)))])
+    res = level_set_integral(MeasurableFunction.from_simple(x), i, n_max=2)
+    assert res.converged and res.lower <= ExtReal(Fraction(1, 2)) <= res.upper
+
+
 def test_level_sets_nest():
     x = MeasurableFunction.identity_on(0, 1)
     for n in (1, 2, 3):

@@ -23,7 +23,6 @@ from daniell.rings import (
     difference,
     intersect,
     length_premeasure,
-    premeasure_eval,
     union,
     weighted_counting_premeasure,
 )
@@ -133,10 +132,10 @@ def test_length_premeasure_values():
 def test_counting_premeasure_values():
     u = Universe.finite(("a", "b", "c"))
     mu = weighted_counting_premeasure(u, {"a": Fraction(2), "b": Fraction(1, 2)})
-    assert premeasure_eval(mu, RingSet.finite(u, ("a", "b"))) == ExtReal(
+    assert mu(RingSet.finite(u, ("a", "b"))) == ExtReal(
         Fraction(5, 2)
     )
-    assert premeasure_eval(mu, RingSet.finite(u, ("c",))) == ExtReal(0)
+    assert mu(RingSet.finite(u, ("c",))) == ExtReal(0)
 
 
 def test_counting_additivity_exhaustive_partitions():
@@ -181,5 +180,5 @@ def test_infinite_measure_reported_as_infinity():
     mu = PreMeasure(
         u, lambda e: POS_INF if "a" in e.points else Fraction(0), name="heavy"
     )
-    assert premeasure_eval(mu, RingSet.finite(u, ("a",))) == POS_INF
-    assert premeasure_eval(mu, RingSet.finite(u, ("b",))) == ExtReal(0)
+    assert mu(RingSet.finite(u, ("a",))) == POS_INF
+    assert mu(RingSet.finite(u, ("b",))) == ExtReal(0)

@@ -14,7 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from daniell import intervals as iv
 from daniell import wiener as w
+from daniell.rings import BooleanOp, RingSet
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -61,25 +63,57 @@ def test_cylinder_json_roundtrip():
     assert w.Cylinder.from_json(d.to_json()) == d
 
 
+def _is_normal(a):
+    return all(lo < hi for lo, hi in a) and all(
+        p[1] < q[0] for p, q in zip(a, a[1:]))
+
+
 def test_real_set_algebra_matches_membership():
+    """daniell.intervals against pointwise membership, over float ends with
+    -inf/inf rays and over Fraction ends; results keep the endpoint type."""
     rng = random.Random(11)
-    for _ in range(200):
-        a = w.rs_normalize([(rng.uniform(-3, 1), rng.uniform(-1, 3))])
-        b = w.rs_normalize(
-            [(rng.uniform(-3, 0), rng.uniform(-2, 1)), (rng.uniform(0, 2), w.INF)]
-        )
-        for x in [rng.uniform(-4, 4) for _ in range(20)]:
-            ina, inb = w.rs_contains(a, x), w.rs_contains(b, x)
-            assert w.rs_contains(w.rs_intersect(a, b), x) == (ina and inb)
-            assert w.rs_contains(w.rs_difference(a, b), x) == (ina and not inb)
-            assert w.rs_contains(w.rs_complement(a), x) == (not ina)
+
+    def frac(lo, hi):
+        return Fraction(rng.randint(16 * lo, 16 * hi), 16)
+
+    for draw, top, line in ((rng.uniform, w.INF, (-w.INF, w.INF)),
+                            (frac, Fraction(5), (Fraction(-5), Fraction(5)))):
+        kind = type(top)
+        for _ in range(200):
+            a = iv.normalize([(draw(-3, 1), draw(-1, 3))])
+            b = iv.normalize([(draw(-3, 0), draw(-2, 1)), (draw(0, 2), top)])
+            results = {
+                "union": iv.union(a, b),
+                "intersect": iv.intersect(a, b),
+                "difference": iv.difference(a, b),
+                "complement": iv.complement(a, *line),
+            }
+            for r in results.values():
+                assert _is_normal(r)
+                assert all(type(e) is kind for pair in r for e in pair)
+            for x in [draw(-4, 4) for _ in range(20)]:
+                ina, inb = iv.contains(a, x), iv.contains(b, x)
+                assert iv.contains(results["union"], x) == (ina or inb)
+                assert iv.contains(results["intersect"], x) == (ina and inb)
+                assert iv.contains(results["difference"], x) == (ina and not inb)
+                assert iv.contains(results["complement"], x) == (not ina)
+
+
+def test_endpoints_are_converted_once_per_universe():
+    s = RingSet.from_intervals([(1, "3/2")])
+    assert s.intervals == ((Fraction(1), Fraction(3, 2)),)
+    assert all(type(e) is Fraction for e in s.intervals[0])
+    d = w.Cylinder.of([1], [[(0, 2)]])
+    assert d.sets == (((0.0, 2.0),),)
+    assert all(type(e) is float for e in d.sets[0][0])
+    assert w.Cylinder.from_json(d.to_json()) == d
 
 
 def test_cylinder_ring_closure_vs_path_oracle():
     d1 = w.Cylinder.of([HALF, ONE], [((0.0, w.INF),), w.FULL_LINE])
     d2 = w.Cylinder.of([Fraction(3, 4), ONE], [((-1.0, 1.0),), ((-w.INF, 0.5),)])
-    inter = w.cylinder_combine(w.CylinderOp.INTERSECT, d1, d2)
-    diff = w.cylinder_combine(w.CylinderOp.DIFFERENCE, d1, d2)
+    inter = w.cylinder_combine(BooleanOp.INTERSECT, d1, d2)
+    diff = w.cylinder_combine(BooleanOp.DIFFERENCE, d1, d2)
     times = sorted(set(d1.times) | set(d2.times))
     paths = w.sample_paths(times, 3000, seed=42)
     for row in paths:
