@@ -371,7 +371,9 @@ def is_daniell_measurable(x: MeasurableFunction, probes, i: ElementaryIntegral,
 
     x is nonnegative here, so the negative part of phi ^ x is the
     negative part of phi, which is simple and exactly integrable; the
-    positive part goes through the level-set bracket.
+    positive part goes through the level-set bracket.  A probe passes only
+    on a certified bracket: one cut off at the last depth, with upper
+    bound +inf, is a failure.
     """
     failures = []
     certs = []
@@ -381,6 +383,9 @@ def is_daniell_measurable(x: MeasurableFunction, probes, i: ElementaryIntegral,
             res = level_set_integral(pos, i, n_max=n_max)
             if not res.value.is_finite:
                 failures.append({"probe": phi.to_json(), "reason": "divergent"})
+            elif not res.converged:
+                failures.append({"probe": phi.to_json(), "certificate": res.to_json(),
+                                 "reason": "bracket not certified"})
             else:
                 certs.append(res.to_json())
         except (ValueError, LevelSetNestingError) as exc:
@@ -407,7 +412,9 @@ def approximate_in_t0(x: MeasurableFunction, i: ElementaryIntegral, eps,
     """A simple function within eps of x in the upper-functional gap.
 
     Returns the dyadic approximant phi_n = 2^-n sum chi_{E_{k,n}} with n
-    chosen so the bracket width 2^-n * mu(support) is below eps.
+    chosen so the bracket width 2^-n * mu(support) is below eps and the
+    top level E_{4^n,n} = {x > 2^n}, above which phi_n is cut off, is
+    null.  Past n_max it raises ApproximationUnreachable.
     """
     eps = Fraction(eps)
     if x.simple is not None:
@@ -423,6 +430,10 @@ def approximate_in_t0(x: MeasurableFunction, i: ElementaryIntegral, eps,
         n += 1
         if n > n_max:
             raise ApproximationUnreachable(Fraction(1, 2**n_max) * m)
+    while m > 0 and i.mu(x.level_set(4**n, n)).value > 0:
+        n += 1
+        if n > n_max:  # mass above 2^n_max: no depth bounds the gap
+            raise ApproximationUnreachable(POS_INF)
     universe = x.support.universe
     terms = [(Fraction(1, 2**n), e) for e in dyadic_levels(x, n, max_depth=max(n, n_max))]
     return canonicalize(SimpleFunction(universe, tuple(terms)))

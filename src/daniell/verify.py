@@ -548,7 +548,8 @@ def wiener_suite(quick=False, seed=5):
 
 
 def _random_cylinder(rng):
-    k = rng.randint(1, 2)
+    """A cylinder of 2-6 times in eighths: rays or bounded intervals."""
+    k = rng.randint(1, 5)
     times = sorted(rng.sample([Fraction(i, 8) for i in range(1, 8)], k)) + [Fraction(1)]
     sets = []
     for _ in times:

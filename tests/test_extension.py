@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daniell.extension import (
+    ApproximationUnreachable,
     Direction,
     MeasurableFunction,
     MonotoneSequence,
@@ -229,6 +230,19 @@ def test_measure_from_integral_counting_exhaustive():
             assert measure_from_integral(i, e) == mu(e)
 
 
+def test_uncertified_probe_fails_measurability():
+    # 1000·χ[0,1) ∧ 100·χ[0,1) exceeds 2^n_max = 4: the bracket [4, +inf]
+    # certifies nothing, so the probe fails and says why
+    x = MeasurableFunction.from_simple(SimpleFunction.indicator(RingSet.interval(0, 1), 100))
+    probe = SimpleFunction.indicator(RingSet.interval(0, 1), 1000)
+    report = is_daniell_measurable(x, [probe], LENGTH, n_max=2)
+    assert not report["pass"] and not report["certificates"]
+    (failure,) = report["failures"]
+    assert failure["reason"] == "bracket not certified"
+    assert failure["certificate"]["upper"] == "+inf"
+    assert is_daniell_measurable(x, [probe], LENGTH, n_max=7)["pass"]
+
+
 def test_indicator_is_daniell_measurable():
     e = RingSet.interval(0, 1)
     x = indicator_measurable(e)
@@ -271,6 +285,18 @@ def test_approximate_in_t0_bracket():
         assert phi.eval(t) <= x.eval(t)
     gap = Fraction(1, 2) - LENGTH.integrate(phi)
     assert 0 <= gap <= Fraction(1, 64)
+
+
+def test_approximate_in_t0_deepens_past_the_top_level():
+    # x = 20·χ[0,1) ∧ 10·χ[0,1): eps alone picks n = 2, whose levels stop at
+    # 2^2 = 4; the top level {x > 2^n} is null only from n = 4 on
+    big = MeasurableFunction.from_simple(SimpleFunction.indicator(RingSet.interval(0, 1), 20))
+    x = big.meet_with_simple(SimpleFunction.indicator(RingSet.interval(0, 1), 10))
+    phi = approximate_in_t0(x, LENGTH, eps=Fraction(1, 2))
+    assert phi.eval(Fraction(1, 2)) == Fraction(159, 16)  # 2^-4 · #{k : k/16 < 10}
+    assert 0 <= 10 - LENGTH.integrate(phi) < Fraction(1, 2)
+    with pytest.raises(ApproximationUnreachable):
+        approximate_in_t0(x, LENGTH, eps=Fraction(1, 2), n_max=3)
 
 
 def test_integral_result_json():

@@ -4,11 +4,19 @@ Oracles:
   * one time slot: μ(W_t ∈ (a, b)) = Φ(b/√t) − Φ(a/√t), the Gaussian CDF;
   * two slots, both (0, ∞): μ = 1/4 + arcsin(√(t₁/t₂)) / (2π), the
     classical bivariate orthant probability (correlation √(t₁/t₂));
+  * Sparre Andersen: P(W_{k/n} > 0 for k = 1..n) = C(2n, n) / 4ⁿ;
+  * scipy's Genz integration of the Gaussian with covariance min(s, t),
+    for orthants and boxes of up to 6 times;
+  * nested scipy quadrature of the transition-kernel product (at most 3
+    times), for interval unions whose endpoints fall off the grid;
   * Monte-Carlo path sampling as an independent estimator.
 """
 
 import math
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -199,3 +207,262 @@ def test_mc_reproducible_and_consistent_with_quad():
     assert mc1 == mc2  # byte-identical under the same seed
     q = w.wiener_premeasure(d, tol=1e-9)
     assert abs(q["value"] - mc1["value"]) < 4 * mc1["stderr"]
+
+
+def test_mc_paths_per_stream_keep_their_counts():
+    # 3 seed streams of 10^6 paths, run on as many threads as there are
+    # CPUs: value and stderr as drawn stream by stream in one thread
+    d = w.Cylinder.of([Fraction(1, 4), HALF, ONE],
+                      [((-0.5, w.INF),), ((-1.0, 1.0),), ((-w.INF, 0.8),)])
+    mc = w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=11, paths=2_500_000)
+    assert mc == {"value": 0.5894556, "stderr": 0.0003111255024125409}
+
+
+def test_mc_counts_do_not_depend_on_threads(monkeypatch):
+    # five seed streams on five threads switching every microsecond, and
+    # on one thread: the same counts
+    d = w.Cylinder.of([HALF, ONE], [((-0.3, w.INF),), ((-1.0, 0.7),)])
+
+    def run(cpus):
+        monkeypatch.setattr(w.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=5, paths=4_500_000)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == run(1)
+
+
+def test_mc_stderr_without_hits_is_clopper_pearson():
+    d = w.Cylinder.of([ONE], [((8.0, 9.0),)])
+    mc = w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=1, paths=100_000)
+    assert mc["value"] == 0.0
+    assert mc["stderr"] >= 1e-5  # the binomial floor gave 3.2e-9
+    far = 1 - 0.025 ** (1 / 100_000)
+    assert mc["stderr"] == pytest.approx(math.sqrt(far * (1 - far) / 100_000), rel=1e-9)
+    full = w.wiener_premeasure(w.Cylinder.full_space(), method=w.Method.MONTE_CARLO,
+                               seed=1, paths=100_000)
+    assert full == {"value": 1.0, "stderr": mc["stderr"]}
+
+
+# -- propagation against oracles ------------------------------------------------
+
+
+def _positive(n):
+    return w.Cylinder.of([Fraction(k, n) for k in range(1, n + 1)], [((0.0, w.INF),)] * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 24, 32])
+def test_sparre_andersen(n):
+    exact = math.comb(2 * n, n) / 4**n
+    r = w.wiener_premeasure(_positive(n), tol=1e-8)
+    assert abs(r["value"] - exact) <= 1e-8
+    assert abs(r["value"] - exact) <= r["quad_error"]
+    # the unnormalized kernel scales each of the n steps by 1/sqrt(2)
+    r = w.wiener_premeasure(_positive(n), tol=1e-8, kernel=w.Kernel.UNNORMALIZED)
+    assert abs(r["value"] - exact * 2 ** (-n / 2)) <= r["quad_error"] <= 1e-8
+
+
+def test_sixteen_times_in_a_tenth_of_a_second():
+    d = _positive(16)
+    w.wiener_premeasure(d, tol=1e-8)  # warm numpy's FFT
+    best = min(_timed(lambda: w.wiener_premeasure(d, tol=1e-8)) for _ in range(5))
+    assert best < 0.1
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+GENZ_EPS = 1e-6
+
+
+def _genz(times, lower, upper):
+    from scipy.stats import multivariate_normal
+
+    t = [float(x) for x in times]
+    cov = np.minimum.outer(t, t)
+    return multivariate_normal.cdf(np.array(upper), mean=np.zeros(len(t)), cov=cov,
+                                   lower_limit=np.array(lower), abseps=GENZ_EPS,
+                                   releps=0, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_orthants_and_boxes_against_genz(n):
+    rng = random.Random(n)
+    times = sorted(rng.sample([Fraction(k, 16) for k in range(1, 16)], n - 1)) + [ONE]
+    signs = [rng.choice((-1.0, 1.0)) for _ in times]
+    orthant = [((0.0, w.INF),) if s > 0 else ((-w.INF, 0.0),) for s in signs]
+    lo = [rng.uniform(-1.5, 0.3) for _ in times]
+    hi = [a + rng.uniform(0.5, 2.0) for a in lo]
+    box = [((a, b),) for a, b in zip(lo, hi)]
+    for sets, lower, upper in (
+        (orthant, [0.0 if s > 0 else -np.inf for s in signs],
+         [np.inf if s > 0 else 0.0 for s in signs]),
+        (box, lo, hi),
+    ):
+        r = w.wiener_premeasure(w.Cylinder.of(times, sets), tol=1e-8)
+        assert abs(r["value"] - _genz(times, lower, upper)) <= r["quad_error"] + 3 * GENZ_EPS
+
+
+def _nested_quadrature(d):
+    """The earlier nested scipy quadrature, every layer to 1e-13, the last
+    in closed form; for up to 3 times."""
+    from scipy.integrate import quad
+
+    times = [float(t) for t in d.times]
+    dts = [b - a for a, b in zip([0.0] + times, times)]
+
+    def layer(i, x):
+        scale = math.sqrt(2.0 * dts[i])
+        if i == len(times) - 1:
+            return sum(0.5 * (math.erf((b - x) / scale) - math.erf((a - x) / scale))
+                       for a, b in d.sets[i])
+        return sum(quad(lambda y: math.exp(-((y - x) / scale) ** 2) / (scale * math.sqrt(math.pi))
+                        * layer(i + 1, y), a, b, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+                   for a, b in d.sets[i])
+
+    return layer(0, 0.0)
+
+
+# From h = 1/16 the differences v(2h) - v(h) shrink eighteenfold, then
+# hardly at all, and fourfold only from h = 1/128: a rule that trusted
+# any shrink of threefold or more returned this value 2.3e-8 off, with
+# quad_error 6.4e-9.
+LATE_SETTLING = w.Cylinder.of(
+    [HALF, Fraction(3, 4), ONE],
+    [((-1.8057469831532904, -0.34620538344394314),),
+     ((-1.3169816845833981, -0.6763476115091881),),
+     ((-0.8977322242675352, -0.18990756005486997), (-0.16793833816399775, 1.1839876312925077),
+      (1.4118442388536403, 1.6684416719079074))])
+
+
+def _random_union_cylinders(rng, count):
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        times = sorted(rng.sample([Fraction(k, 16) for k in range(1, 16)], n - 1)) + [ONE]
+        sets = []
+        for _ in times:
+            pieces, lo = [], rng.uniform(-2.0, 0.5)
+            for _ in range(rng.randint(1, 3)):
+                hi = lo + 10 ** rng.uniform(-2, 0.2)
+                pieces.append((lo, hi))
+                lo = hi + 10 ** rng.uniform(-2, -0.3)
+            sets.append(tuple(pieces))
+        yield w.Cylinder.of(times, sets)
+
+
+def test_off_grid_interval_unions_against_nested_quadrature():
+    for d in [LATE_SETTLING, *_random_union_cylinders(random.Random(2024), 12)]:
+        oracle = _nested_quadrature(d)
+        for tol in (1e-4, 1e-6, 1e-8):
+            r = w.wiener_premeasure(d, tol=tol)
+            assert r["quad_error"] <= tol
+            assert abs(r["value"] - oracle) <= r["quad_error"] + 1e-11
+
+
+# -- steps far shorter than a cell ------------------------------------------------
+
+GAP = Fraction(1, 10**9)  # a step of spread 4.5e-5, below the finest cell allowed
+
+
+def test_short_last_step_against_the_orthant():
+    # 1/4 + arcsin(sqrt(t1)) / (2 pi), written through sqrt(1 - t1) so the
+    # reference keeps its digits; at the default tol a point mass at each
+    # cell centre leaked nothing across 0 and missed the 5e-6 that does
+    d = w.Cylinder.of([ONE - GAP, ONE], [((0.0, w.INF),)] * 2)
+    exact = 0.5 - math.asin(math.sqrt(GAP)) / (2 * math.pi)
+    r = w.wiener_premeasure(d)
+    assert abs(r["value"] - exact) <= r["quad_error"] <= 1e-8
+
+
+def test_short_middle_step_against_the_orthant():
+    # three times: 1/8 + (arcsin r12 + arcsin r13 + arcsin r23) / (4 pi)
+    # with r_ij = sqrt(t_i / t_j); arcsin r12 through sqrt(1 - t1 / t2)
+    t1, t2 = HALF, HALF + GAP
+    d = w.Cylinder.of([t1, t2, ONE], [((0.0, w.INF),)] * 3)
+    asins = (math.pi / 2 - math.asin(math.sqrt(GAP / t2)), math.asin(math.sqrt(t1)),
+             math.asin(math.sqrt(t2)))
+    exact = 1 / 8 + sum(asins) / (4 * math.pi)
+    r = w.wiener_premeasure(d)
+    assert abs(r["value"] - exact) <= r["quad_error"] <= 1e-8
+
+
+def _two_times(d):
+    """P(W_t1 in B_1, W_1 in B_2) by adaptive quadrature over W_t1, with
+    break points at the endpoints of B_2 and a few step spreads around them."""
+    from scipy.integrate import quad
+
+    t1, scale = float(d.times[0]), math.sqrt(2.0 * float(1 - d.times[0]))
+    ends = [e for a, b in d.sets[1] for e in (a, b) if abs(e) < w.INF]
+
+    def f(x):
+        step = sum(0.5 * (math.erf((b - x) / scale) - math.erf((a - x) / scale))
+                   for a, b in d.sets[1])
+        return math.exp(-x * x / (2 * t1)) / math.sqrt(2 * math.pi * t1) * step
+
+    total = 0.0
+    for a, b in d.sets[0]:
+        lo, hi = max(a, -12.0), min(b, 12.0)
+        points = [e + k * scale for e in ends for k in (-8, -2, 0, 2, 8) if lo < e + k * scale < hi]
+        total += quad(f, lo, hi, points=points or None, epsabs=1e-14, epsrel=1e-13, limit=1000)[0]
+    return total
+
+
+@pytest.mark.parametrize("sets", [[((0.0, w.INF),), ((0.3, w.INF),)],
+                                  [((-1.0, 0.5),), ((-0.7, 0.2),)]])
+def test_short_step_to_endpoints_inside_cells(sets):
+    # the endpoints of B_2 fall inside whole cells of B_1, whose boxes of
+    # mass straddle them in the last layer
+    d = w.Cylinder.of([ONE - GAP, ONE], sets)
+    r = w.wiener_premeasure(d)
+    assert abs(r["value"] - _two_times(d)) <= r["quad_error"] <= 1e-8
+
+
+def test_short_steps_against_quadrature():
+    # final steps of 1e-10 to 7e-3 between interval unions, some shared, some
+    # nudged off each other: a value returned lies within its quad_error.
+    # Where a step is shorter than the cells the error shrinks erratically,
+    # and the refinement may stop at the cell cap instead.
+    rng = random.Random(6)
+    returned = 0
+    for _ in range(16):
+        gap = Fraction(rng.choice([1, 3, 7]), 10 ** rng.randint(3, 10))
+        sets = []
+        for _ in range(2):
+            pieces, lo = [], rng.uniform(-2.0, 0.5)
+            for _ in range(rng.randint(1, 2)):
+                hi = lo + 10 ** rng.uniform(-2, 0.3)
+                pieces.append((lo, hi))
+                lo = hi + 10 ** rng.uniform(-2, -0.3)
+            sets.append(pieces)
+        if rng.random() < 0.5:
+            nudge = 1e-4
+            sets[1] = [(a + rng.uniform(-nudge, nudge), b + rng.uniform(-nudge, nudge))
+                       for a, b in sets[0]]
+        d = w.Cylinder.of([ONE - gap, ONE], sets)
+        oracle = _two_times(d)
+        for tol in (1e-6, 1e-8):
+            try:
+                r = w.wiener_premeasure(d, tol=tol)
+            except w.ToleranceUnreachable:
+                continue
+            returned += 1
+            assert abs(r["value"] - oracle) <= r["quad_error"] + 1e-13
+    assert returned >= 24
+
+
+def test_tolerance_below_rounding_is_unreachable():
+    with pytest.raises(w.ToleranceUnreachable):
+        w.wiener_premeasure(_positive(3), tol=1e-16)
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, daniell.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
