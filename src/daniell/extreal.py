@@ -26,7 +26,10 @@ class ExtReal:
         if _sign not in (-1, 0, 1):
             raise ValueError("infinity sign must be -1, 0, or 1")
         self._sign = _sign
-        self._value = Fraction(value) if _sign == 0 else None
+        if _sign:
+            self._value = None
+        else:  # a Fraction is immutable, so one passed in is kept as is
+            self._value = value if type(value) is Fraction else Fraction(value)
 
     # -- constructors -------------------------------------------------
 

@@ -1,9 +1,16 @@
 """Simple functions over a set ring, with vector-lattice operations.
 
 A simple function is a finite rational linear combination of ring-set
-indicators.  Canonical form has pairwise disjoint sets and nonzero
-coefficients, obtained by the usual refinement: each new set splits the
-existing disjoint pieces into "inside" and "outside" parts.
+indicators.  Its canonical form splits the union of the nonempty term
+sets into membership classes: each piece is the set of points that lie
+in exactly the same subset of those sets, with the sum of their
+coefficients as its value.  Zero pieces are dropped and the rest sorted
+by their sets, so the form does not depend on how it is computed.
+
+On the real line one sweep over the sorted interval endpoints finds the
+classes, and on a finite universe one pass over the labels.  Path space
+has no cells to list, so there each set splits the pieces found so far
+into their parts inside and outside it (pairwise refinement).
 """
 
 from __future__ import annotations
@@ -11,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
+from . import intervals as iv
 from .extreal import ExtReal
 from .rings import (
     BooleanOp,
@@ -97,34 +107,95 @@ def _set_sort_key(s: RingSet):
     return s.intervals
 
 
-def _refine(pieces, r: RingSet, add, zero):
-    """Refine a disjoint (value, set) list by r: the part of each piece
-    inside r takes value add(value), and the part of r outside every
-    piece becomes a new piece of value add(zero)."""
-    out = []
-    rest = r
-    for v, b in pieces:
-        inside = boolean_combine(BooleanOp.INTERSECT, b, r)
-        outside = boolean_combine(BooleanOp.DIFFERENCE, b, r)
-        if not inside.is_empty:
-            out.append((add(v), inside))
-        if not outside.is_empty:
-            out.append((v, outside))
-        rest = boolean_combine(BooleanOp.DIFFERENCE, rest, b)
-    if not rest.is_empty:
-        out.append((add(zero), rest))
-    return out
+def _refine(sets):
+    """Membership classes by pairwise refinement, as (mask, set) pairs with
+    bit k of mask set when the class lies in sets[k]: each set splits every
+    piece so far into its parts inside and outside, and what it covers of
+    no piece becomes a new one.  Works in every universe; ``_classes`` uses
+    it for path space only."""
+    pieces = []
+    for k, r in enumerate(sets):
+        out = []
+        rest = r
+        for m, b in pieces:
+            inside = boolean_combine(BooleanOp.INTERSECT, b, r)
+            if inside.is_empty:  # b is kept whole, not re-cut into cylinders
+                out.append((m, b))
+                continue
+            outside = boolean_combine(BooleanOp.DIFFERENCE, b, r)
+            out.append((m | 1 << k, inside))
+            if not outside.is_empty:
+                out.append((m, outside))
+            rest = boolean_combine(BooleanOp.DIFFERENCE, rest, b)
+        if not rest.is_empty:
+            out.append((1 << k, rest))
+        pieces = out
+    return pieces
+
+
+def _line_classes(universe: Universe, sets):
+    """Membership classes on the real line by one endpoint sweep.
+
+    In normal form a set's intervals never touch, so at each endpoint every
+    set covering it starts or stops there: the membership mask changes, and
+    no two cells of one class touch."""
+    ends = sorted(((p, k) for k, s in enumerate(sets) for pair in s.intervals for p in pair),
+                  key=itemgetter(0))
+    classes = {}
+    mask = 0
+    lo = None
+    for p, group in groupby(ends, key=itemgetter(0)):
+        if mask:
+            classes.setdefault(mask, []).append((lo, p))
+        for _, k in group:
+            mask ^= 1 << k
+        lo = p
+    return [(m, RingSet(universe, intervals=tuple(cells))) for m, cells in classes.items()]
+
+
+def _label_classes(universe: Universe, sets):
+    """Membership classes on a finite universe, label by label.
+
+    The labels of one class first appear together, in the set of its
+    lowest bit, whose points are sorted, so each class comes out sorted."""
+    member = {}
+    for k, s in enumerate(sets):
+        for p in s.points:
+            member[p] = member.get(p, 0) | 1 << k
+    classes = {}
+    for p, m in member.items():
+        classes.setdefault(m, []).append(p)
+    return [(m, RingSet(universe, points=tuple(labels))) for m, labels in classes.items()]
+
+
+def _classes(universe: Universe, sets):
+    """The nonempty membership classes of ``sets`` as (mask, set) pairs, in
+    no particular order; bit k of mask is set when the class lies in
+    sets[k]."""
+    if universe.kind is UniverseKind.REAL_LINE:
+        return _line_classes(universe, sets)
+    if universe.kind is UniverseKind.FINITE:
+        return _label_classes(universe, sets)
+    return _refine(sets)
+
+
+def _coeff_sum(mask: int, coeffs) -> Fraction:
+    """Sum of coeffs[k] over the bits k set in mask."""
+    total = Fraction(0)
+    while mask:
+        low = mask & -mask
+        total += coeffs[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def canonicalize(x: SimpleFunction) -> SimpleFunction:
     """Rewrite with pairwise disjoint sets and nonzero coefficients."""
     if x.canonical:
         return x
-    pieces = []
-    for c, r in x.terms:
-        if r.is_empty:
-            continue
-        pieces = _refine(pieces, r, lambda d: d + c, Fraction(0))
+    coeffs = [c for c, _ in x.terms]
+    pieces = [(_coeff_sum(m, coeffs), s)
+              for m, s in _classes(x.universe, [s for _, s in x.terms])]
     pieces = [(c, s) for c, s in pieces if c != 0]
     pieces.sort(key=lambda p: _set_sort_key(p[1]))
     return SimpleFunction(x.universe, tuple(pieces), canonical=True)
@@ -132,13 +203,14 @@ def canonicalize(x: SimpleFunction) -> SimpleFunction:
 
 def _common_atoms(x: SimpleFunction, y: SimpleFunction):
     """Disjoint sets on which both x and y are constant, as ((vx, vy), set)
-    pairs.  Off the returned atoms both functions vanish.
+    pairs: the membership classes of the canonical pieces of x and of y.
+    Off the returned atoms both functions vanish.
     """
-    zero = Fraction(0)
-    atoms = [((c, zero), s) for c, s in canonicalize(x).terms]
-    for d, b in canonicalize(y).terms:
-        atoms = _refine(atoms, b, lambda v: (v[0], v[1] + d), (zero, zero))
-    return atoms
+    xt, yt = canonicalize(x).terms, canonicalize(y).terms
+    coeffs = [c for c, _ in xt + yt]
+    in_x = (1 << len(xt)) - 1
+    return [((_coeff_sum(m & in_x, coeffs), _coeff_sum(m & ~in_x, coeffs)), s)
+            for m, s in _classes(x.universe, [s for _, s in xt + yt])]
 
 
 def lattice_op(op: LatticeOp, x: SimpleFunction, y: SimpleFunction | None = None,
@@ -192,13 +264,15 @@ def is_nonnegative(x: SimpleFunction) -> bool:
 
 
 def level_set(x: SimpleFunction, threshold) -> RingSet:
-    """The ring set {t : x(t) > threshold}, for threshold >= 0."""
+    """The ring set {t : x(t) > threshold}, for threshold >= 0: the union
+    of the canonical pieces above threshold, which are pairwise disjoint."""
     threshold = Fraction(threshold)
     if threshold < 0:
         raise ValueError("level_set only supports nonnegative thresholds")
-    xc = canonicalize(x)
-    out = RingSet.empty(x.universe)
-    for c, s in xc.terms:
-        if c > threshold:
-            out = boolean_combine(BooleanOp.UNION, out, s)
-    return out
+    chosen = [s for c, s in canonicalize(x).terms if c > threshold]
+    u = x.universe
+    if u.kind is UniverseKind.REAL_LINE:
+        return RingSet(u, intervals=iv.normalize(p for s in chosen for p in s.intervals))
+    if u.kind is UniverseKind.FINITE:
+        return RingSet(u, points=tuple(sorted(p for s in chosen for p in s.points)))
+    return RingSet(u, cylinders=tuple(c for s in chosen for c in s.cylinders))

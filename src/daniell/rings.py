@@ -75,6 +75,10 @@ class BooleanOp(Enum):
     DIFFERENCE = "difference"
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 @dataclass(frozen=True)
 class RingSet:
     """Canonical element of a set ring.
@@ -106,7 +110,7 @@ class RingSet:
         if universe.kind is not UniverseKind.REAL_LINE:
             raise ValueError("interval body requires the real line universe")
         return RingSet(universe, intervals=iv.normalize(
-            (Fraction(a), Fraction(b)) for a, b in pairs))
+            (_fraction(a), _fraction(b)) for a, b in pairs))
 
     @staticmethod
     def interval(a, b) -> RingSet:

@@ -18,11 +18,12 @@ closed-form Gaussian tails cut off at the edges of the grid and of every
 kernel window.  A time step much shorter than the finest cell allowed
 (steps of about 10^-6 and below) is computed too, but its error shrinks
 erratically with h, so there the refinement can end in
-ToleranceUnreachable even when the values already agree to far below
-tol.  Monte Carlo runs its seed streams of 10^6 paths on a thread per
-CPU, with counts that do not depend on the number of threads; its
-``stderr`` is the binomial one, with a one-sided 97.5 % Clopper-Pearson
-bound in place of p when no path (or every path) hits.
+ToleranceUnreachable, saying that the differences did not settle, even
+when the values already agree to far below tol.  Monte Carlo runs its
+seed streams of 10^6 paths on a thread per CPU, with counts that do not
+depend on the number of threads; its ``stderr`` is the binomial one,
+with a one-sided 97.5 % Clopper-Pearson bound in place of p when no
+path (or every path) hits.
 
 The default kernel is exp(-dx^2 / (2 dt)) / sqrt(2 pi dt), which makes
 the full path space have measure 1.  kernel="unnormalized" drops the
@@ -210,8 +211,11 @@ class Method(Enum):
 
 
 class ToleranceUnreachable(RuntimeError):
-    def __init__(self, achieved):
-        super().__init__(f"achieved error bound {achieved}")
+    """The premeasure stopped short of tol: ``achieved`` is the error
+    bound where it stopped, and the message says why it stopped."""
+
+    def __init__(self, achieved, why):
+        super().__init__(f"{why}; achieved error bound {achieved}")
         self.achieved = achieved
 
 
@@ -476,7 +480,8 @@ def _ck_premeasure(d: Cylinder, tol: float, kernel: Kernel):
     budget = tol - trunc
     floor = n * _ROUNDOFF
     if budget <= floor:
-        raise ToleranceUnreachable(floor + trunc)
+        raise ToleranceUnreachable(floor + trunc,
+                                   "tol is below the round-off and truncation floor")
 
     def value(h):
         return _propagate(d, kernel, _Grid(half_width, h, z), bounds)
@@ -503,7 +508,10 @@ def _ck_premeasure(d: Cylinder, tol: float, kernel: Kernel):
         if err <= budget and settled:
             return best, err + trunc
         if 4.0 * half_width / h > _CELL_CAP:  # h / 2 would pass the cap
-            raise ToleranceUnreachable(err + trunc)
+            raise ToleranceUnreachable(err + trunc, (
+                "the grid differences did not settle before the cell cap, so an "
+                "estimate within tol is not trusted" if err <= budget else
+                "the error did not fall to tol before the cell cap"))
 
 
 def sample_paths(times, count: int, seed: int) -> np.ndarray:

@@ -12,11 +12,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daniell import wiener
 from daniell.extreal import ExtReal, ZERO
 from daniell.fuzz import random_simple_function
 from daniell.lattice import (
     LatticeOp,
     SimpleFunction,
+    _refine,
+    _set_sort_key,
     absolute,
     canonicalize,
     is_nonnegative,
@@ -27,7 +30,7 @@ from daniell.lattice import (
     neg_part,
     pos_part,
 )
-from daniell.rings import RingSet, Universe
+from daniell.rings import BooleanOp, RingSet, Universe, boolean_combine
 
 LINE = Universe.real_line()
 
@@ -201,3 +204,132 @@ def test_json_roundtrip():
         y = SimpleFunction.from_json(x.to_json())
         for t in probes(x):
             assert y.eval(t) == x.eval(t)
+
+
+# -- the sweep against pairwise refinement -----------------------------------
+#
+# The canonical form is defined by membership: a piece is the set of points
+# in exactly the same term sets, valued at the sum of their coefficients.
+# Pairwise refinement computes the same classes in every universe and is
+# what path space uses; here it is the reference for the endpoint sweep on
+# the real line and the label pass on finite universes.
+
+
+def ref_canonical(terms):
+    terms = [(c, s) for c, s in terms if not s.is_empty]
+    pieces = []
+    for m, s in _refine([s for _, s in terms]):
+        v = sum((c for k, (c, _) in enumerate(terms) if m >> k & 1), Fraction(0))
+        if v != 0:
+            pieces.append((v, s))
+    return tuple(sorted(pieces, key=lambda p: _set_sort_key(p[1])))
+
+
+def ref_atoms(x, y):
+    xt, yt = ref_canonical(x.terms), ref_canonical(y.terms)
+    zero = Fraction(0)
+    return [(sum((c for k, (c, _) in enumerate(xt) if m >> k & 1), zero),
+             sum((c for k, (c, _) in enumerate(yt) if m >> (len(xt) + k) & 1), zero), s)
+            for m, s in _refine([s for _, s in xt + yt])]
+
+
+def ref_level_set(x, thr):
+    out = RingSet.empty(x.universe)
+    for c, s in ref_canonical(x.terms):
+        if c > thr:
+            out = boolean_combine(BooleanOp.UNION, out, s)
+    return out
+
+
+FINITE = Universe.finite("abcdef")
+
+
+def random_coeff(rng):
+    return Fraction(rng.choice([-3, -2, -1, 0, 1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+
+def random_terms(rng, universe, count):
+    """Terms built to hit the sweep's edge cases: endpoints on a grid of
+    quarters (shared and touching ends), sets of up to three intervals,
+    empty sets, repeated sets, and c next to -c on one set."""
+    terms = []
+    for _ in range(count):
+        roll = rng.random()
+        if terms and roll < 0.15:
+            terms.append((random_coeff(rng), rng.choice(terms)[1]))
+        elif terms and roll < 0.25:
+            c, s = rng.choice(terms)
+            terms.append((-c, s))
+        elif roll < 0.3:
+            terms.append((random_coeff(rng), RingSet.empty(universe)))
+        elif universe == FINITE:
+            labels = [lab for lab in universe.labels if rng.random() < 0.4]
+            terms.append((random_coeff(rng), RingSet.finite(universe, labels)))
+        else:
+            pairs = []
+            for _ in range(rng.randint(1, 3)):
+                a = Fraction(rng.randint(0, 16), 4)
+                pairs.append((a, a + Fraction(rng.randint(1, 6), 4)))
+            terms.append((random_coeff(rng), RingSet.from_intervals(pairs)))
+    return terms
+
+
+def test_canonical_edge_cases():
+    split = RingSet.from_intervals([(0, 1), (2, 3)])
+    cases = [
+        # touching sets stay separate pieces, even with equal values
+        ([(1, iv(0, 1)), (1, iv(1, 2))], [(1, iv(0, 1)), (1, iv(1, 2))]),
+        # one set repeated
+        ([(1, iv(0, 2)), (2, iv(0, 2))], [(3, iv(0, 2))]),
+        # c and -c on one set cancel, and the piece is dropped
+        ([(2, iv(0, 1)), (-2, iv(0, 1))], []),
+        ([(2, iv(0, 1)), (1, iv(0, 2)), (-2, iv(0, 1))], [(1, iv(0, 1)), (1, iv(1, 2))]),
+        # empty term sets take no part
+        ([(5, RingSet.empty(LINE)), (1, iv(0, 1))], [(1, iv(0, 1))]),
+        # a zero coefficient still splits the other sets
+        ([(0, iv(0, 1)), (1, iv(0, 2))], [(1, iv(0, 1)), (1, iv(1, 2))]),
+        # one set of two intervals, crossed by another
+        ([(1, split), (1, iv(Fraction(1, 2), Fraction(5, 2)))],
+         [(1, RingSet.from_intervals([(0, Fraction(1, 2)), (Fraction(5, 2), 3)])),
+          (2, RingSet.from_intervals([(Fraction(1, 2), 1), (2, Fraction(5, 2))])),
+          (1, iv(1, 2))]),
+    ]
+    for terms, expected in cases:
+        got = canonicalize(SimpleFunction.of(LINE, terms)).terms
+        expected = tuple(sorted(((Fraction(c), s) for c, s in expected),
+                                key=lambda p: _set_sort_key(p[1])))
+        assert repr(got) == repr(expected)
+        assert repr(got) == repr(ref_canonical(SimpleFunction.of(LINE, terms).terms))
+
+
+def test_sweep_matches_pairwise_refinement():
+    rng = random.Random(7)
+    for universe in (LINE, FINITE):
+        for _ in range(150):
+            x = SimpleFunction.of(universe, random_terms(rng, universe, rng.randint(0, 7)))
+            y = SimpleFunction.of(universe, random_terms(rng, universe, rng.randint(0, 7)))
+            assert repr(canonicalize(x).terms) == repr(ref_canonical(x.terms))
+            assert repr((x + y).terms) == repr(ref_canonical(x.terms + y.terms))
+            atoms = ref_atoms(x, y)
+            for op, fn in ((meet, min), (join, max)):
+                want = ref_canonical([(fn(vx, vy), s) for vx, vy, s in atoms])
+                assert repr(op(x, y).terms) == repr(want)
+            zero = SimpleFunction.zero(universe)
+            want = ref_canonical([(abs(vx), s) for vx, _, s in ref_atoms(x, zero)])
+            assert repr(absolute(x).terms) == repr(want)
+            for thr in (0, Fraction(1, 2), 1, 2):
+                assert level_set(x, thr) == ref_level_set(x, thr)
+
+
+def test_path_space_canonicalizes_by_refinement():
+    half = Fraction(1, 2)
+    a = RingSet.path_space([wiener.Cylinder.of([half, 1], [[(0, 2)], wiener.FULL_LINE])])
+    b = RingSet.path_space([wiener.Cylinder.of([1], [[(1, 3)]])])
+    x = SimpleFunction.of(Universe.path_space(), [(1, a), (2, b)])
+    xc = canonicalize(x)
+    assert sorted(c for c, _ in xc.terms) == [1, 2, 3]
+    for w_half, w_one in [(1, 0), (1, 2), (-1, 2), (3, 5), (-1, 0)]:
+        path = {half: w_half, Fraction(1): w_one}
+        assert xc.eval(path) == x.eval(path)
+        assert sum(s.contains(path) for _, s in xc.terms) <= 1
+        assert level_set(x, 1).contains(path) == (x.eval(path) > ExtReal(1))

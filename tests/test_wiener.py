@@ -458,8 +458,17 @@ def test_short_steps_against_quadrature():
 
 
 def test_tolerance_below_rounding_is_unreachable():
-    with pytest.raises(w.ToleranceUnreachable):
+    with pytest.raises(w.ToleranceUnreachable, match="below the round-off"):
         w.wiener_premeasure(_positive(3), tol=1e-16)
+
+
+def test_unsettled_differences_are_not_reported_as_success():
+    # The grid values agree to far below tol, but their differences
+    # (3.8e-12, -3.0e-13, 3.0e-13, 2.7e-14) never shrink by a steady ratio.
+    d = w.Cylinder.of([ONE - Fraction(7, 10**6), ONE], [[(-0.9174, -0.8944)]] * 2)
+    with pytest.raises(w.ToleranceUnreachable, match="did not settle") as info:
+        w.wiener_premeasure(d, tol=1e-6)
+    assert info.value.achieved < 1e-6
 
 
 def test_cli_import_leaves_scipy_out():
