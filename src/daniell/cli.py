@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (from
-argparse), 3 malformed input file, 4 unreachable tolerance.
+argparse), 3 bad input (a malformed file or an out-of-range number),
+4 unreachable tolerance.
 Every output record embeds the effective config, including the seed,
 so identical configs give byte-identical output.
 """
@@ -85,12 +86,12 @@ def _cmd_integrate(ns) -> int:
         return EXIT_BAD_INPUT
     a, b = ns.interval
     try:
-        x = MeasurableFunction.identity_on(a, b)
+        res = level_set_integral(MeasurableFunction.identity_on(a, b),
+                                 ElementaryIntegral(length_premeasure()),
+                                 n_max=ns.depth, ceiling=Fraction(ns.ceiling))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
-    res = level_set_integral(x, ElementaryIntegral(length_premeasure()),
-                             n_max=ns.depth, ceiling=Fraction(ns.ceiling))
     record = {"config": {"command": "integrate", "function": ns.function,
                          "interval": [str(a), str(b)], "depth": ns.depth},
               "result": res.to_json()}
@@ -160,6 +161,9 @@ def _cmd_wiener(ns) -> int:
     except wmod.ToleranceUnreachable as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TOL_UNREACHABLE
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_BAD_INPUT
     record = {"config": {"command": "wiener", "method": ns.method,
                          "kernel": ns.kernel, "paths": ns.paths,
                          "seed": seed, "tol": ns.tol,
@@ -194,26 +198,26 @@ def _cmd_dirichlet(ns) -> int:
         x = tuple(float(v) for v in ns.x.split(","))
         if len(x) != 2:
             raise ValueError("point must be x,y")
+        shape = dmod.Shape.UNIT_DISK if ns.domain == "disk" else dmod.Shape.UNIT_SQUARE
+        solver = dmod.Solver.WALK_ON_SPHERES if ns.solver == "wos" else dmod.Solver.GRID
+        cfg = dmod.SolveConfig(domain=dmod.DiskDomain(shape, ns.h), solver=solver,
+                               seed=seed, walks=ns.walks)
+        if kind == "arc":
+            res = dmod.harmonic_measure_of_arc(x, p1, p2, cfg, n=ns.depth)
+            record = {"value": res["value"], "stderr": res["stderr"],
+                      "lower": res["lower"], "upper": res["upper"]}
+        else:
+            if kind == "const":
+                g = dmod.BoundaryFunction.constant(p1)
+            else:
+                import numpy as _np
+
+                g = dmod.BoundaryFunction(lambda s: _np.cos(s))
+            v, se = dmod.ix_eval(x, g, cfg)
+            record = {"value": v, "stderr": se}
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
-    shape = dmod.Shape.UNIT_DISK if ns.domain == "disk" else dmod.Shape.UNIT_SQUARE
-    solver = dmod.Solver.WALK_ON_SPHERES if ns.solver == "wos" else dmod.Solver.GRID
-    cfg = dmod.SolveConfig(domain=dmod.DiskDomain(shape, ns.h), solver=solver,
-                           seed=seed, walks=ns.walks)
-    if kind == "arc":
-        res = dmod.harmonic_measure_of_arc(x, p1, p2, cfg, n=ns.depth)
-        record = {"value": res["value"], "stderr": res["stderr"],
-                  "lower": res["lower"], "upper": res["upper"]}
-    else:
-        if kind == "const":
-            g = dmod.BoundaryFunction.constant(p1)
-        else:
-            import numpy as _np
-
-            g = dmod.BoundaryFunction(lambda s: _np.cos(s))
-        v, se = dmod.ix_eval(x, g, cfg)
-        record = {"value": v, "stderr": se}
     record = {"config": {"command": "dirichlet", "domain": ns.domain,
                          "g": ns.g, "x": ns.x, "solver": ns.solver,
                          "walks": ns.walks, "seed": seed, "h": ns.h,

@@ -62,7 +62,6 @@ class BoundaryFunction:
 
     evaluator: object
     kind: BoundaryKind = BoundaryKind.CONTINUOUS
-    arc: tuple = ()
 
     def __call__(self, s):
         return self.evaluator(s)
@@ -79,7 +78,7 @@ class BoundaryFunction:
             s = np.mod(np.asarray(s, dtype=float) - lo, TWO_PI)
             return (s < (hi - lo)).astype(float)
 
-        return BoundaryFunction(f, BoundaryKind.ARC_INDICATOR, (lo, hi))
+        return BoundaryFunction(f, BoundaryKind.ARC_INDICATOR)
 
 
 def arc_ramp(lo, hi, n: int, side: str = "lower") -> BoundaryFunction:
@@ -94,6 +93,8 @@ def arc_ramp(lo, hi, n: int, side: str = "lower") -> BoundaryFunction:
     length = hi - lo
     if length <= 0:
         raise ValueError("need lo < hi")
+    if n < 1:
+        raise ValueError(f"ramp index must be at least 1, got {n}")
     delta = length / (2.0 * n)
 
     def f(s):
@@ -137,7 +138,7 @@ class SolverFailure(RuntimeError):
     pass
 
 
-def _solve_disk_grid(dom: DiskDomain, g: BoundaryFunction, tol: float) -> HarmonicField:
+def _solve_disk_grid(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
     """Polar 5-point scheme on rings i*hr, centre = mean of ring 1.
 
     An rfft in theta leaves one tridiagonal system in r per mode k; only
@@ -175,7 +176,7 @@ def _solve_disk_grid(dom: DiskDomain, g: BoundaryFunction, tol: float) -> Harmon
            + a_t * (np.roll(full[1:-1], 1, axis=1) + np.roll(full[1:-1], -1, axis=1))
            - (2.0 / hr**2 + 2.0 * a_t) * full[1:-1])
     residual = float(np.max(np.abs(lap)))
-    if not np.all(np.isfinite(values)) or residual > max(tol, 1e-6):
+    if not np.all(np.isfinite(values)) or residual > 1e-6:
         raise SolverFailure(f"disk grid solve residual {residual}")
     return HarmonicField(dom, values, gb, residual)
 
@@ -216,7 +217,7 @@ def _dst1(a):
     return -0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1:m + 1]
 
 
-def _solve_square_grid(dom: DiskDomain, g: BoundaryFunction, tol: float) -> HarmonicField:
+def _solve_square_grid(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
     """5-point scheme, diagonalised by the DST-I in x and in y.
 
     The 1-D second difference has eigenvalues 2 cos(k pi / n) - 2, k = 1..n-1.
@@ -263,43 +264,35 @@ class Solver(Enum):
     WALK_ON_SPHERES = "wos"
 
 
-def solve_dirichlet(dom: DiskDomain, g: BoundaryFunction,
-                    solver: Solver = Solver.GRID, tol: float = 1e-8,
-                    seed: int | None = None, walks: int = 100_000,
-                    shell: float = 1e-6):
-    """Harmonic extension of continuous boundary data.
-
-    Grid returns a :class:`HarmonicField`; walk-on-spheres returns a
-    point evaluator ``(x, y) -> (value, stderr)``.
-    """
+def solve_dirichlet(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
+    """Harmonic extension of continuous boundary data on the grid of
+    ``dom``, with the residual of the stencil it solved."""
     if g.kind is not BoundaryKind.CONTINUOUS:
         raise ValueError("discontinuous data must go through extend_boundary")
-    if solver is Solver.GRID:
-        if dom.shape is Shape.UNIT_DISK:
-            return _solve_disk_grid(dom, g, tol)
-        return _solve_square_grid(dom, g, tol)
-    seed = 0 if seed is None else seed
-
-    def evaluator(x, y):
-        return _wos_estimate(dom, g, x, y, walks, seed, shell)
-
-    return evaluator
+    if dom.shape is Shape.UNIT_DISK:
+        return _solve_disk_grid(dom, g)
+    return _solve_square_grid(dom, g)
 
 
-def _wos_estimate(dom: DiskDomain, g: BoundaryFunction, x, y, walks, seed,
-                  shell, max_steps=10_000):
+def _wos_estimate(dom: DiskDomain, g: BoundaryFunction, x, y, walks, seed):
+    """Walk-on-spheres estimate of u_g(x, y) over ``walks`` walkers, with
+    its standard error."""
+    if g.kind is not BoundaryKind.CONTINUOUS:
+        raise ValueError("discontinuous data must go through extend_boundary")
+    if walks < 2:
+        raise ValueError(f"a standard error needs at least 2 walks, got {walks}")
     rng = np.random.default_rng(seed)
     px = np.empty(walks)  # exit points, by walker
     py = np.empty(walks)
-    live = np.arange(walks)  # walkers still farther than ``shell`` from the boundary
+    live = np.arange(walks)  # walkers still farther than 1e-6 from the boundary
     lx = np.full(walks, float(x))
     ly = np.full(walks, float(y))
-    for _ in range(max_steps):
+    for _ in range(10_000):
         if dom.shape is Shape.UNIT_DISK:
             dist = 1.0 - np.hypot(lx, ly)
         else:
             dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly))
-        active = dist > shell
+        active = dist > 1e-6
         if not active.all():
             done = live[~active]
             px[done], py[done] = lx[~active], ly[~active]
@@ -336,16 +329,16 @@ def _square_project(px, py):
 class SolveConfig:
     domain: DiskDomain = DiskDomain()
     solver: Solver = Solver.GRID
-    tol: float = 1e-8
     seed: int = 0
     walks: int = 100_000
-    shell: float = 1e-6
 
 
 def ix_eval(x, g: BoundaryFunction, cfg: SolveConfig = SolveConfig()):
-    """u_g at the interior point x = (x0, x1).
+    """u_g at the interior point x = (x0, x1), for continuous g.
 
-    Returns (value, stderr); stderr is 0 for the grid solver.
+    Returns (value, stderr): the grid solver interpolates its field and
+    reports stderr 0; walk-on-spheres uses ``cfg.walks`` walkers seeded
+    by ``cfg.seed``.
     """
     x0, x1 = float(x[0]), float(x[1])
     if cfg.domain.shape is Shape.UNIT_DISK:
@@ -354,11 +347,8 @@ def ix_eval(x, g: BoundaryFunction, cfg: SolveConfig = SolveConfig()):
     elif not (0.0 < x0 < 1.0 and 0.0 < x1 < 1.0):
         raise ValueError("point must be strictly interior")
     if cfg.solver is Solver.GRID:
-        field = solve_dirichlet(cfg.domain, g, Solver.GRID, cfg.tol)
-        return field.at(x0, x1), 0.0
-    est = solve_dirichlet(cfg.domain, g, Solver.WALK_ON_SPHERES, cfg.tol,
-                          cfg.seed, cfg.walks, cfg.shell)
-    return est(x0, x1)
+        return solve_dirichlet(cfg.domain, g).at(x0, x1), 0.0
+    return _wos_estimate(cfg.domain, g, x0, x1, cfg.walks, cfg.seed)
 
 
 class NonMonotoneBoundary(ValueError):
@@ -366,18 +356,17 @@ class NonMonotoneBoundary(ValueError):
 
 
 def extend_boundary(x, f_seq, depth: int, tol: float,
-                    cfg: SolveConfig = SolveConfig(),
-                    probes: int = 64) -> dict:
+                    cfg: SolveConfig = SolveConfig()) -> dict:
     """Limit of u_{f_n}(x) along a monotone sequence of boundary data.
 
     ``f_seq`` maps n >= 1 to a continuous BoundaryFunction; monotonicity
-    is verified at boundary probes.  The values are evaluated on a
+    is verified at 64 boundary probes.  The values are evaluated on a
     doubling schedule 1, 2, 4, ..., depth, and the certificate reports
     the observed gap between the last two evaluations (the Harnack-style
     convergence surrogate).
     """
     period = cfg.domain.param_period
-    ss = np.arange(probes) * (period / probes)
+    ss = np.arange(64) * (period / 64)
     schedule = []
     n = 1
     while n < depth:

@@ -28,6 +28,7 @@ from .rings import BooleanOp, RingSet, Universe, boolean_combine
 DEFAULT_LEVEL_DEPTH = 16
 DEFAULT_SEQ_DEPTH = 1000
 DEFAULT_CEILING = Fraction(10**9)
+CAUCHY_TOL = Fraction(1, 10**6)
 
 
 class Direction(Enum):
@@ -92,21 +93,24 @@ class IntegralResult:
 
 
 def i1_limit(integrate, seq: MonotoneSequence, depth=DEFAULT_SEQ_DEPTH,
-             cauchy_tol=Fraction(1, 10**6), ceiling=DEFAULT_CEILING,
-             tail_bound=None) -> IntegralResult:
+             ceiling=DEFAULT_CEILING, tail_bound=None) -> IntegralResult:
     """Limit of I(x_n) along an increasing sequence, with a bracket.
 
-    ``tail_bound`` (n -> bound on limit - I(x_n)), when available, gives
-    an exact certificate; otherwise the gap is the doubling-window slack
-    I(x_depth) - I(x_{depth//2}).  Values past the ceiling without Cauchy
-    stabilization report +inf.
+    The terms x_1, ..., x_depth are integrated (depth >= 1), and the
+    result is stabilized when the last two values differ by less than
+    CAUCHY_TOL.  ``tail_bound`` (n -> bound on limit - I(x_n)), when
+    available, gives an exact certificate; otherwise the gap is the
+    doubling-window slack I(x_depth) - I(x_{depth//2}).  Values past the
+    ceiling without Cauchy stabilization report +inf.
     """
     if seq.direction is not Direction.INCREASING:
         raise ValueError("i1_limit expects an increasing sequence")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     seq.check_monotone(depth)
     values = [Fraction(integrate(seq.term(n))) for n in range(1, depth + 1)]
     last = values[-1]
-    stabilized = depth >= 2 and abs(values[-1] - values[-2]) < Fraction(cauchy_tol)
+    stabilized = depth >= 2 and abs(values[-1] - values[-2]) < CAUCHY_TOL
     if last > ceiling and not stabilized:
         return IntegralResult(POS_INF, ExtReal(last), POS_INF, depth, False)
     if tail_bound is not None:
@@ -133,12 +137,11 @@ class MeasurableFunction:
     E_{1, n} already covers the support at every used depth.
     """
 
-    def __init__(self, evaluator, level_set_oracle, nonnegative=True,
+    def __init__(self, evaluator, level_set_oracle,
                  support: RingSet | None = None,
                  simple: SimpleFunction | None = None):
         self.evaluator = evaluator
         self._oracle = level_set_oracle
-        self.nonnegative = nonnegative
         self.support = support
         self.simple = simple
         self._checked = set()
@@ -226,8 +229,6 @@ def dyadic_levels(x: MeasurableFunction, n: int, max_depth=DEFAULT_LEVEL_DEPTH):
     so all later sets are empty too); callers treat missing entries as
     empty.
     """
-    if not x.nonnegative:
-        raise ValueError("dyadic levels need a nonnegative function")
     if n > max_depth:
         raise ValueError(f"n={n} exceeds configured max {max_depth}")
     out = []
@@ -240,58 +241,46 @@ def dyadic_levels(x: MeasurableFunction, n: int, max_depth=DEFAULT_LEVEL_DEPTH):
 
 
 def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
-                       n_max=DEFAULT_LEVEL_DEPTH, tol=None,
+                       n_max=DEFAULT_LEVEL_DEPTH,
                        ceiling=DEFAULT_CEILING) -> IntegralResult:
-    """Integral of nonnegative x via dyadic level-set sums S_n.
+    """Integral of nonnegative x via the dyadic level-set sums S_1..S_n_max.
 
-    Stops early when successive sums differ by less than ``tol``.
+    n_max must be at least 1: the bracket width comes from the last sum.
     Reports +inf when the sums pass the ceiling, and an upper bound of
     +inf when the last sum is cut off at k = 2^(2n) with mass above it.
     """
-    if not x.nonnegative:
-        raise ValueError("level_set_integral needs a nonnegative function")
-    prev = None
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     s_n = Fraction(0)
-    n_used = 0
-    truncated = False
     for n in range(1, n_max + 1):
-        scale = Fraction(1, 2**n)
         if x.simple is not None:
             level_sum = _simple_level_sum(x.simple, i, n)
             if level_sum is None:
                 return IntegralResult(POS_INF, ExtReal(s_n), POS_INF, n, False)
             total, truncated = level_sum
         else:
+            levels = dyadic_levels(x, n, max_depth=n_max)
             total = Fraction(0)
-            truncated = False
-            for k in range(1, 2 ** (2 * n) + 1):
-                e = x.level_set(k, n)
-                if e.is_empty:
-                    break
+            for e in levels:
                 m = i.mu(e)
                 if not m.is_finite:
                     return IntegralResult(POS_INF, ExtReal(total), POS_INF, n, False)
                 total += m.value
-            else:
-                truncated = m.value > 0
-        s_n = scale * total
-        n_used = n
+            truncated = len(levels) == 4**n and m.value > 0
+        s_n = Fraction(1, 2**n) * total
         if s_n > ceiling:
             return IntegralResult(POS_INF, ExtReal(s_n), POS_INF, n, False)
-        if prev is not None and tol is not None and abs(s_n - prev) < Fraction(tol):
-            break
-        prev = s_n
     if truncated:
-        return IntegralResult(ExtReal(s_n), ExtReal(s_n), POS_INF, n_used, False)
+        return IntegralResult(ExtReal(s_n), ExtReal(s_n), POS_INF, n_max, False)
     if x.support is not None:
         supp_measure = i.mu(x.support)
         if not supp_measure.is_finite:
             raise ValueError("support has infinite measure; no finite bracket")
-        gap = Fraction(1, 2**n_used) * supp_measure.value
+        gap = Fraction(1, 2**n_max) * supp_measure.value
     else:
-        gap = Fraction(1, 2**n_used) * i.mu(x.level_set(1, n_used)).value
+        gap = Fraction(1, 2**n_max) * i.mu(x.level_set(1, n_max)).value
     return IntegralResult(
-        ExtReal(s_n), ExtReal(s_n), ExtReal(s_n + gap), n_used, True
+        ExtReal(s_n), ExtReal(s_n), ExtReal(s_n + gap), n_max, True
     )
 
 
@@ -341,8 +330,7 @@ def indicator_measurable(e: RingSet) -> MeasurableFunction:
 
 
 def measure_from_integral(i: ElementaryIntegral, e: RingSet,
-                          n_max=DEFAULT_LEVEL_DEPTH,
-                          probes=None) -> ExtReal:
+                          n_max=DEFAULT_LEVEL_DEPTH) -> ExtReal:
     """The measure extracted from the integral: integral of chi_e,
     or +inf when that diverges.
 
@@ -352,10 +340,6 @@ def measure_from_integral(i: ElementaryIntegral, e: RingSet,
     routes.
     """
     x = indicator_measurable(e)
-    if probes is not None:
-        report = is_daniell_measurable(x, probes, i, n_max=n_max)
-        if not report["pass"]:
-            raise ValueError(f"set failed measurability probe: {report}")
     res = level_set_integral(x, i, n_max=n_max)
     if not res.value.is_finite:
         return POS_INF
@@ -393,11 +377,11 @@ def is_daniell_measurable(x: MeasurableFunction, probes, i: ElementaryIntegral,
     return {"pass": not failures, "failures": failures, "certificates": certs}
 
 
-def null_test(x: MeasurableFunction, i: ElementaryIntegral, tol=Fraction(0),
-              n_max=DEFAULT_LEVEL_DEPTH) -> tuple[bool, dict]:
-    """True iff the certified upper bound of the integral of |x| is <= tol."""
-    res = level_set_integral(x, i, n_max=n_max)
-    ok = res.upper.is_finite and res.upper.value <= Fraction(tol)
+def null_test(x: MeasurableFunction, i: ElementaryIntegral) -> tuple[bool, dict]:
+    """True iff the certified upper bound of the integral of nonnegative x,
+    at the default depth, is 0; the bracket comes back as JSON."""
+    res = level_set_integral(x, i)
+    ok = res.upper.is_finite and res.upper.value == 0
     return ok, res.to_json()
 
 

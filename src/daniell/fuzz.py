@@ -24,10 +24,11 @@ def random_finite_ringset(rng: random.Random, universe: Universe) -> RingSet:
     return RingSet.finite(universe, labels)
 
 
-def random_interval_ringset(rng: random.Random, lo=0, hi=8, pieces=3) -> RingSet:
+def random_interval_ringset(rng: random.Random) -> RingSet:
+    """Up to 3 intervals with left ends in [0, 8]."""
     ivs = []
-    for _ in range(rng.randint(0, pieces)):
-        a = random_fraction(rng, lo, hi, max_den=6)
+    for _ in range(rng.randint(0, 3)):
+        a = random_fraction(rng, 0, 8, max_den=6)
         b = a + abs(random_fraction(rng, 0, 2, max_den=6)) + Fraction(1, 7)
         ivs.append((a, b))
     return RingSet.from_intervals(ivs)
@@ -39,19 +40,19 @@ def random_ringset(rng: random.Random, universe: Universe) -> RingSet:
     return random_interval_ringset(rng)
 
 
-def random_simple_function(rng: random.Random, universe: Universe,
-                           terms=3, coeff_lo=-5, coeff_hi=5) -> SimpleFunction:
+def random_simple_function(rng: random.Random, universe: Universe) -> SimpleFunction:
+    """Up to 3 terms with coefficients in [-5, 5]."""
     out = []
-    for _ in range(rng.randint(0, terms)):
-        out.append((random_fraction(rng, coeff_lo, coeff_hi),
+    for _ in range(rng.randint(0, 3)):
+        out.append((random_fraction(rng, -5, 5),
                     random_ringset(rng, universe)))
     return SimpleFunction.of(universe, out)
 
 
-def random_nonneg_simple_function(rng: random.Random, universe: Universe,
-                                  terms=3) -> SimpleFunction:
+def random_nonneg_simple_function(rng: random.Random, universe: Universe) -> SimpleFunction:
+    """Up to 3 terms with coefficients in [0, 5]."""
     out = []
-    for _ in range(rng.randint(0, terms)):
+    for _ in range(rng.randint(0, 3)):
         out.append((abs(random_fraction(rng, 0, 5)),
                     random_ringset(rng, universe)))
     return SimpleFunction.of(universe, out)

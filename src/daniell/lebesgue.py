@@ -134,9 +134,10 @@ def _trim(pts, ys) -> PiecewiseLinear:
     return PiecewiseLinear.of(pts, ys)
 
 
-def ramp_probe_points(a, b, count=17):
+def ramp_probe_points(a, b):
+    """17 evenly spaced points of [a, b], ends included."""
     a, b = Fraction(a), Fraction(b)
-    return [a + Fraction(i, count - 1) * (b - a) for i in range(count)]
+    return [a + Fraction(i, 16) * (b - a) for i in range(17)]
 
 
 def interval_length_via_daniell(a, b, n_max=100) -> IntegralResult:

@@ -285,12 +285,11 @@ class OverlapError(ValueError):
         self.witness = witness
 
 
-def check_additivity(mu: PreMeasure, parts, tol=Fraction(0)) -> dict:
+def check_additivity(mu: PreMeasure, parts) -> dict:
     """Compare mu(union of parts) against the sum of mu(part).
 
     Parts must be pairwise disjoint; an overlap raises :class:`OverlapError`
-    with a witnessing point.  Exact rational pre-measures are compared
-    exactly (tol 0).
+    with a witnessing point.  The two sides are compared exactly.
     """
     parts = list(parts)
     if not parts:
@@ -306,8 +305,4 @@ def check_additivity(mu: PreMeasure, parts, tol=Fraction(0)) -> dict:
     rhs = ExtReal(0)
     for p in parts:
         rhs = rhs + mu(p)
-    if lhs.is_finite and rhs.is_finite:
-        ok = abs(lhs.value - rhs.value) <= tol
-    else:
-        ok = lhs == rhs
-    return {"lhs": lhs.to_json(), "rhs": rhs.to_json(), "pass": ok}
+    return {"lhs": lhs.to_json(), "rhs": rhs.to_json(), "pass": lhs == rhs}

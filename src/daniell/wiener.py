@@ -597,6 +597,8 @@ def wiener_premeasure(d: Cylinder, method: Method = Method.QUADRATURE,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if paths < 1:
+        raise ValueError("paths must be positive")
     if d.is_empty:
         key = "stderr" if method is Method.MONTE_CARLO else "quad_error"
         return {"value": 0.0, key: 0.0}

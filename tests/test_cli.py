@@ -1,5 +1,6 @@
 """Command-line front end: outputs, determinism, and exit codes."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -155,6 +156,23 @@ def test_bad_interval_exit_code():
     assert p.returncode == 3
 
 
+@pytest.mark.parametrize("args", [
+    ("dirichlet", "--g", "const:1", "--x", "0,0", "--h", "0"),
+    ("dirichlet", "--g", "arc:0:1", "--x", "0,0", "--h", "0.125", "--depth", "0"),
+    ("dirichlet", "--g", "const:1", "--x", "0,0", "--solver", "wos", "--walks", "1"),
+    ("wiener", "--cylinder", "{cyl}", "--tol", "0"),
+    ("wiener", "--cylinder", "{cyl}", "--method", "mc", "--paths", "0"),
+    ("integrate", "--interval", "0", "4", "--depth", "0"),
+    ("lebesgue", "--interval", "0", "1", "--depth", "0"),
+], ids=lambda args: " ".join(args))
+def test_out_of_range_number_is_bad_input(tmp_path, args):
+    cyl = write_cylinder(tmp_path, [[1, 1]], [[[0.0, "+inf"]]])
+    p = run_cli(*(a.format(cyl=cyl) for a in args))
+    assert p.returncode == 3, p.stdout
+    assert "Traceback" not in p.stderr
+    assert len(p.stderr.strip().splitlines()) == 1
+
+
 # -- values that start with '-' -------------------------------------------------------
 
 
@@ -192,3 +210,26 @@ def test_csv_projection():
     lines = [ln for ln in p.stdout.splitlines() if ln.strip()]
     assert len(lines) == 2  # header + one row
     assert "Splus" in lines[0]
+
+
+# -- exact outputs ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args, digest", [
+    ("integrate --interval 0 4 --depth 8",
+     "6794182829732b9607c2788767dceb7e45848a384f967934576b7cddd0f5969c"),
+    ("lebesgue --interval 1/3 2 --depth 20",
+     "a3cdfb339dc07231ab19f28cfb7097551d75e52e85e82c2526458dd68404a527"),
+    ("decompose --weights 1,-2,1/3,0",
+     "f4f9a81c10df2a946c076a9b004f77e942792d60461cf4ac816f48b5492f807e"),
+    ("rings --quick",
+     "b5da3f46e5705fdb59c3b9e45a8bbffa990ea7caaa641a023489143fc4ec2c51"),
+    ("lattice --quick",
+     "787f6aa15643c2b36f59bace11c6534ea7328e7617704a9f86d2f595a38ae937"),
+])
+def test_exact_output_is_byte_identical(args, digest):
+    # the exact commands' stdout is pinned by its SHA-256; wiener and
+    # dirichlet are left out, as FFT round-off may differ between numpy builds
+    p = run_cli(*args.split())
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == digest, p.stdout

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from daniell import verify
 from daniell.dirichlet import (
     BoundaryFunction,
     DiskDomain,
@@ -99,6 +98,13 @@ def test_arc_measure_off_center_matches_poisson_oracle():
     rad = math.hypot(0.3, -0.2)
     th = math.atan2(-0.2, 0.3)
     assert abs(r["value"] - poisson_oracle(g, rad, th)) < 2e-3
+
+
+@pytest.mark.parametrize("solver", [Solver.GRID, Solver.WALK_ON_SPHERES])
+def test_discontinuous_data_reaches_no_solver(solver):
+    cfg = SolveConfig(domain=COARSE.domain, solver=solver, walks=100)
+    with pytest.raises(ValueError, match="extend_boundary"):
+        ix_eval((0.0, 0.0), BoundaryFunction.arc_indicator(0.5, 1.5), cfg)
 
 
 def test_arc_ramps_bracket_the_indicator():
@@ -273,12 +279,3 @@ def test_square_grid_agrees_with_wos():
         val, err = ix_eval(p, SQUARE_COS, wos)
         assert err > 0
         assert abs(val - ref) < 3 * err + h * h
-
-
-# -- the invariant suite ------------------------------------------------------------------
-
-
-def test_dirichlet_suite_quick_passes():
-    results = verify.dirichlet_suite(quick=True)
-    assert results and all(r["pass"] for r in results), [
-        r["name"] for r in results if not r["pass"]]

@@ -88,6 +88,15 @@ def test_bracket_rule_width():
         assert res.upper.value - res.lower.value <= Fraction(2, 2**n)
 
 
+def test_depth_zero_integral_raises():
+    # no dyadic sum at all: the bracket [0, μ(support)] = [0, 4] would be
+    # reported converged although ∫₀⁴ t dt = 8 lies outside it
+    x = MeasurableFunction.identity_on(0, 4)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            level_set_integral(x, LENGTH, n_max=n_max)
+
+
 def test_truncated_bracket_is_not_certified():
     # 100·χ[0,1) exceeds 2^n_max = 4, so S_2 = 4 stops short of 100 and
     # no finite upper bound follows, on the from_simple and generic paths
@@ -183,6 +192,16 @@ def test_divergent_sequence_reports_infinity():
     seq = MonotoneSequence(lambda n: chi.scale(2**n), Direction.INCREASING, ["a"])
     res = i1_limit(i.integrate, seq, depth=200, ceiling=Fraction(10**6))
     assert res.value == POS_INF
+
+
+def test_depth_zero_limit_raises():
+    # no term to integrate: a ValueError, not an IndexError on the empty list
+    u = Universe.finite(("a",))
+    i = ElementaryIntegral(weighted_counting_premeasure(u))
+    chi = SimpleFunction.indicator(RingSet.finite(u, ("a",)))
+    seq = MonotoneSequence(lambda n: chi, Direction.INCREASING, ["a"])
+    with pytest.raises(ValueError, match="depth"):
+        i1_limit(i.integrate, seq, depth=0)
 
 
 def test_tail_bound_certifies_bracket():
