@@ -87,8 +87,7 @@ def _cmd_integrate(ns) -> int:
     a, b = ns.interval
     try:
         res = level_set_integral(MeasurableFunction.identity_on(a, b),
-                                 ElementaryIntegral(length_premeasure()),
-                                 n_max=ns.depth, ceiling=Fraction(ns.ceiling))
+                                 ElementaryIntegral(length_premeasure()), n_max=ns.depth)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -176,12 +175,16 @@ def _cmd_wiener(ns) -> int:
 def _parse_boundary(spec: str):
     if spec.startswith("arc:"):
         _, lo, hi = spec.split(":")
-        return ("arc", float(_angle(lo)), float(_angle(hi)))
-    if spec.startswith("const:"):
-        return ("const", float(spec.split(":")[1]), None)
-    if spec == "cos":
+        parsed = ("arc", float(_angle(lo)), float(_angle(hi)))
+    elif spec.startswith("const:"):
+        parsed = ("const", float(spec.split(":")[1]), None)
+    elif spec == "cos":
         return ("cos", None, None)
-    raise ValueError(f"unknown boundary spec {spec!r}")
+    else:
+        raise ValueError(f"unknown boundary spec {spec!r}")
+    if not all(math.isfinite(v) for v in parsed[1:] if v is not None):
+        raise ValueError(f"boundary spec {spec!r} has a non-finite number")
+    return parsed
 
 
 def _angle(s: str) -> float:
@@ -273,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--function", default="t")
     sp.add_argument("--interval", nargs=2, type=_frac, default=(Fraction(0), Fraction(1)))
     sp.add_argument("--depth", type=int, default=8)
-    sp.add_argument("--ceiling", type=int, default=10**9)
     sp.set_defaults(fn=_cmd_integrate)
 
     sp = sub.add_parser("lebesgue", help="interval length via the ramp limit")

@@ -56,12 +56,13 @@ class MonotoneSequence:
         return self._cache[n]
 
     def check_monotone(self, depth):
+        """Compare terms 1..depth pairwise at every probe; each term is
+        evaluated once per probe."""
         prev = None
         for n in range(1, depth + 1):
-            cur = self.term(n)
+            cur = [self.term(n).eval(t) for t in self.probes]
             if prev is not None:
-                for t in self.probes:
-                    a, b = prev.eval(t), cur.eval(t)
+                for t, a, b in zip(self.probes, prev, cur):
                     bad = b < a if self.direction is Direction.INCREASING else b > a
                     if bad:
                         raise NonMonotoneSequence(n, t)
@@ -93,35 +94,31 @@ class IntegralResult:
 
 
 def i1_limit(integrate, seq: MonotoneSequence, depth=DEFAULT_SEQ_DEPTH,
-             ceiling=DEFAULT_CEILING, tail_bound=None) -> IntegralResult:
+             tail_bound=None) -> IntegralResult:
     """Limit of I(x_n) along an increasing sequence, with a bracket.
 
-    The terms x_1, ..., x_depth are integrated (depth >= 1), and the
-    result is stabilized when the last two values differ by less than
-    CAUCHY_TOL.  ``tail_bound`` (n -> bound on limit - I(x_n)), when
-    available, gives an exact certificate; otherwise the gap is the
-    doubling-window slack I(x_depth) - I(x_{depth//2}).  Values past the
-    ceiling without Cauchy stabilization report +inf.
+    Terms 1..depth (depth >= 1) are checked for monotonicity, and the
+    last two are integrated.  The lower end is I(x_depth); the upper end
+    is I(x_depth) + tail_bound(depth) when ``tail_bound`` (n -> bound on
+    limit - I(x_n)) is given, and +inf otherwise, since no finite window
+    of the sequence bounds its limit.  ``converged`` says that a tail
+    bound certifies the bracket and the last two values differ by less
+    than CAUCHY_TOL.  Without a tail bound, a last value past
+    DEFAULT_CEILING that has not stabilized is reported as +inf.
     """
     if seq.direction is not Direction.INCREASING:
         raise ValueError("i1_limit expects an increasing sequence")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     seq.check_monotone(depth)
-    values = [Fraction(integrate(seq.term(n))) for n in range(1, depth + 1)]
-    last = values[-1]
-    stabilized = depth >= 2 and abs(values[-1] - values[-2]) < CAUCHY_TOL
-    if last > ceiling and not stabilized:
-        return IntegralResult(POS_INF, ExtReal(last), POS_INF, depth, False)
+    last = Fraction(integrate(seq.term(depth)))
+    stabilized = depth >= 2 and (
+        abs(last - Fraction(integrate(seq.term(depth - 1)))) < CAUCHY_TOL)
     if tail_bound is not None:
-        gap = Fraction(tail_bound(depth))
-    elif depth >= 2:
-        gap = last - values[depth // 2 - 1]
-    else:
-        gap = Fraction(0)
-    return IntegralResult(
-        ExtReal(last), ExtReal(last), ExtReal(last + gap), depth, stabilized
-    )
+        upper = ExtReal(last + Fraction(tail_bound(depth)))
+        return IntegralResult(ExtReal(last), ExtReal(last), upper, depth, stabilized)
+    value = POS_INF if last > DEFAULT_CEILING and not stabilized else ExtReal(last)
+    return IntegralResult(value, ExtReal(last), POS_INF, depth, False)
 
 
 class LevelSetNestingError(ValueError):
@@ -213,24 +210,19 @@ class MeasurableFunction:
         if supp is not None:
             supp = boolean_combine(BooleanOp.INTERSECT, supp, level_set(phic, 0))
         return MeasurableFunction(
-            evaluator=lambda t: min(Fraction(phic.eval(t).value),
-                                    Fraction(self.eval(t).value))
-            if self.eval(t).is_finite
-            else Fraction(phic.eval(t).value),
+            evaluator=lambda t: min(phic.eval(t), self.eval(t)),
             level_set_oracle=oracle,
             support=supp,
         )
 
 
-def dyadic_levels(x: MeasurableFunction, n: int, max_depth=DEFAULT_LEVEL_DEPTH):
-    """The level sets (E_{1,n}, ..., E_{2^(2n),n}).
+def dyadic_levels(x: MeasurableFunction, n: int):
+    """The level sets (E_{1,n}, ..., E_{2^(2n),n}) at depth n.
 
     The list is truncated at the first empty set (levels nest downward,
     so all later sets are empty too); callers treat missing entries as
     empty.
     """
-    if n > max_depth:
-        raise ValueError(f"n={n} exceeds configured max {max_depth}")
     out = []
     for k in range(1, 2 ** (2 * n) + 1):
         e = x.level_set(k, n)
@@ -241,35 +233,29 @@ def dyadic_levels(x: MeasurableFunction, n: int, max_depth=DEFAULT_LEVEL_DEPTH):
 
 
 def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
-                       n_max=DEFAULT_LEVEL_DEPTH,
-                       ceiling=DEFAULT_CEILING) -> IntegralResult:
-    """Integral of nonnegative x via the dyadic level-set sums S_1..S_n_max.
+                       n_max=DEFAULT_LEVEL_DEPTH) -> IntegralResult:
+    """Integral of nonnegative x via the dyadic level-set sum S_n_max.
 
-    n_max must be at least 1: the bracket width comes from the last sum.
-    Reports +inf when the sums pass the ceiling, and an upper bound of
-    +inf when the last sum is cut off at k = 2^(2n) with mass above it.
+    Only depth n_max is evaluated (n_max >= 1): S_n_max is the lower end
+    and 2^-n_max * mu(support) the bracket width.  The upper end is +inf
+    when the sum is cut off at k = 2^(2n) with mass above it, and the
+    value is +inf when a level set has infinite measure.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    s_n = Fraction(0)
-    for n in range(1, n_max + 1):
-        if x.simple is not None:
-            level_sum = _simple_level_sum(x.simple, i, n)
-            if level_sum is None:
-                return IntegralResult(POS_INF, ExtReal(s_n), POS_INF, n, False)
-            total, truncated = level_sum
-        else:
-            levels = dyadic_levels(x, n, max_depth=n_max)
-            total = Fraction(0)
-            for e in levels:
-                m = i.mu(e)
-                if not m.is_finite:
-                    return IntegralResult(POS_INF, ExtReal(total), POS_INF, n, False)
-                total += m.value
-            truncated = len(levels) == 4**n and m.value > 0
-        s_n = Fraction(1, 2**n) * total
-        if s_n > ceiling:
-            return IntegralResult(POS_INF, ExtReal(s_n), POS_INF, n, False)
+    if x.simple is not None:
+        level_sum = _simple_level_sum(x.simple, i, n_max)
+    else:
+        masses = [i.mu(e) for e in dyadic_levels(x, n_max)]
+        level_sum = None
+        if all(m.is_finite for m in masses):
+            # cut off when all 4^n levels are nonempty and the last is not null
+            level_sum = (sum((m.value for m in masses), Fraction(0)),
+                         len(masses) == 4**n_max and masses[-1].value > 0)
+    if level_sum is None:
+        return IntegralResult(POS_INF, ExtReal(0), POS_INF, n_max, False)
+    total, truncated = level_sum
+    s_n = Fraction(1, 2**n_max) * total
     if truncated:
         return IntegralResult(ExtReal(s_n), ExtReal(s_n), POS_INF, n_max, False)
     if x.support is not None:
@@ -316,17 +302,7 @@ def _simple_level_sum(xc: SimpleFunction, i: ElementaryIntegral, n: int):
 
 def indicator_measurable(e: RingSet) -> MeasurableFunction:
     """chi_e as a measurable function (level sets: e below 1, empty above)."""
-
-    def oracle(k, n):
-        return e if Fraction(k, 2**n) < 1 else RingSet.empty(e.universe)
-
-    return MeasurableFunction(
-        evaluator=lambda t: Fraction(1) if e.contains(t) else Fraction(0),
-        level_set_oracle=oracle,
-        support=e,
-        simple=SimpleFunction.indicator(e) if not e.is_empty
-        else SimpleFunction.zero(e.universe),
-    )
+    return MeasurableFunction.from_simple(SimpleFunction.indicator(e))
 
 
 def measure_from_integral(i: ElementaryIntegral, e: RingSet,
@@ -419,5 +395,5 @@ def approximate_in_t0(x: MeasurableFunction, i: ElementaryIntegral, eps,
         if n > n_max:  # mass above 2^n_max: no depth bounds the gap
             raise ApproximationUnreachable(POS_INF)
     universe = x.support.universe
-    terms = [(Fraction(1, 2**n), e) for e in dyadic_levels(x, n, max_depth=max(n, n_max))]
+    terms = [(Fraction(1, 2**n), e) for e in dyadic_levels(x, n)]
     return canonicalize(SimpleFunction(universe, tuple(terms)))

@@ -46,14 +46,6 @@ class ExtReal:
         return self._sign == 0
 
     @property
-    def is_pos_inf(self) -> bool:
-        return self._sign == 1
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self._sign == -1
-
-    @property
     def value(self) -> Fraction:
         if self._sign != 0:
             raise ValueError("infinite ExtReal has no finite value")

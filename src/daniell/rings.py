@@ -245,10 +245,6 @@ class PreMeasure:
             raise ValueError(f"{self.name} returned a negative value")
         return v
 
-    def to_json(self):
-        return {"name": self.name, "universe": self.universe.to_json(),
-                "signed": self.signed}
-
 
 def length_premeasure() -> PreMeasure:
     """Interval length Sum(b_i - a_i) on the real-line ring."""

@@ -160,6 +160,11 @@ def test_bad_interval_exit_code():
     ("dirichlet", "--g", "const:1", "--x", "0,0", "--h", "0"),
     ("dirichlet", "--g", "arc:0:1", "--x", "0,0", "--h", "0.125", "--depth", "0"),
     ("dirichlet", "--g", "const:1", "--x", "0,0", "--solver", "wos", "--walks", "1"),
+    ("dirichlet", "--g", "cos", "--x", "nan,0.2", "--solver", "wos", "--walks", "100"),
+    ("dirichlet", "--g", "const:nan", "--x", "0,0"),
+    ("dirichlet", "--g", "const:nan", "--x", "0.5,0.5", "--domain", "square"),
+    ("dirichlet", "--g", "arc:0:nan", "--x", "0,0"),
+    ("dirichlet", "--g", "cos", "--x", "0,0", "--solver", "wos", "--walks", "100", "--h", "nan"),
     ("wiener", "--cylinder", "{cyl}", "--tol", "0"),
     ("wiener", "--cylinder", "{cyl}", "--method", "mc", "--paths", "0"),
     ("integrate", "--interval", "0", "4", "--depth", "0"),

@@ -30,6 +30,7 @@ from daniell.dirichlet import (
     ix_eval,
     solve_dirichlet,
 )
+from daniell.verify import _random_trig_boundary
 
 COARSE = SolveConfig(domain=DiskDomain(Shape.UNIT_DISK, 1 / 32))
 FINE = SolveConfig(domain=DiskDomain(Shape.UNIT_DISK, 1 / 128))
@@ -246,6 +247,19 @@ def test_nan_boundary_data_raises(shape):
     g = BoundaryFunction(lambda s: np.where(np.asarray(s) < 0.5, np.nan, 1.0))
     with pytest.raises(SolverFailure):
         solve_dirichlet(DiskDomain(shape, 1 / 16), g)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_fine_disk_solves_pass_the_residual_gate(n):
+    # round-off in the residual grows with the largest stencil coefficient
+    # (about 8.7e8 at h = 1/128) times max|g|; a fixed gate of 1e-6 would
+    # reject most of these solves at h = 1/128 and all of them at 1/256
+    rng = random.Random(5)
+    for _ in range(20):
+        g = _random_trig_boundary(rng, nonneg=True)
+        field = solve_dirichlet(DiskDomain(Shape.UNIT_DISK, 1 / n), g)
+        lo, hi = float(np.min(field.boundary)), float(np.max(field.boundary))
+        assert lo - 1e-9 <= float(np.min(field.values)) <= field.interior_max() <= hi + 1e-9
 
 
 # -- the unit square ---------------------------------------------------------------------

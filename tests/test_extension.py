@@ -34,6 +34,7 @@ from daniell.extreal import POS_INF, ExtReal
 from daniell.functional import ElementaryIntegral, NonMonotoneSequence
 from daniell.lattice import SimpleFunction
 from daniell.rings import (
+    PreMeasure,
     RingSet,
     Universe,
     length_premeasure,
@@ -118,6 +119,36 @@ def test_truncated_bracket_is_not_certified():
     assert res.converged and res.lower <= ExtReal(Fraction(1, 2)) <= res.upper
 
 
+def test_only_depth_n_max_is_evaluated():
+    base = MeasurableFunction.identity_on(0, 1)
+    asked = set()
+
+    def oracle(k, n):
+        asked.add(n)
+        return base.level_set(k, n)
+
+    x = MeasurableFunction(base.evaluator, oracle, support=base.support)
+    res = level_set_integral(x, LENGTH, n_max=6)
+    assert asked == {6}
+    assert res.lower == ExtReal(Fraction(1, 2) - Fraction(1, 2**7))
+
+
+def test_infinite_measure_level_set_same_record_on_both_paths():
+    # ½ on an atom of infinite mass and 3 on an atom of mass 1: E_{1,n}
+    # has infinite measure from n = 2 on, so no finite sum S_n exists
+    u = Universe.finite(("a", "b"))
+    i = ElementaryIntegral(PreMeasure(
+        u, lambda e: POS_INF if "a" in e.points else Fraction(len(e.points))))
+    phi = SimpleFunction.of(u, [(Fraction(1, 2), RingSet.finite(u, ("a",))),
+                                (3, RingSet.finite(u, ("b",)))])
+    both = RingSet.finite(u, ("a", "b"))
+    big = MeasurableFunction.from_simple(SimpleFunction.indicator(both, 8))
+    expected = {"value": "+inf", "lower": ExtReal(0).to_json(), "upper": "+inf",
+                "depth": 3, "converged": False}
+    for x in (MeasurableFunction.from_simple(phi), big.meet_with_simple(phi)):
+        assert level_set_integral(x, i, n_max=3).to_json() == expected
+
+
 def test_level_sets_nest():
     x = MeasurableFunction.identity_on(0, 1)
     for n in (1, 2, 3):
@@ -150,8 +181,31 @@ def test_monotone_convergence_stabilizing():
     i = ElementaryIntegral(weighted_counting_premeasure(u))
     seq = MonotoneSequence(gen, Direction.INCREASING, probes=list(values))
     res = i1_limit(i.integrate, seq, depth=10)
-    assert res.converged
     assert res.value == ExtReal(i.integrate(full))
+    # a Cauchy test alone certifies nothing: no upper bound, not converged
+    assert res.upper == POS_INF and not res.converged
+    # the exact tail bound I(full) (1 - min(n/3, 1)) certifies the limit
+    res = i1_limit(i.integrate, seq, depth=10,
+                   tail_bound=lambda n: i.integrate(full) * (1 - min(Fraction(n, 3), 1)))
+    assert res.lower == res.upper == ExtReal(Fraction(9, 2))
+    assert res.converged
+
+
+def test_uncertified_limit_has_no_upper_bound():
+    # I(x_n) = 1 - 1/(bitlen(n) + 1) is constant for n in [2^j, 2^(j+1)),
+    # so the last two values agree at depth 1000 although the limit is 1;
+    # no finite stretch of the sequence bounds its limit
+    u = Universe.finite(("a",))
+    i = ElementaryIntegral(weighted_counting_premeasure(u))
+    chi = SimpleFunction.indicator(RingSet.finite(u, ("a",)))
+    seq = MonotoneSequence(lambda n: chi.scale(1 - Fraction(1, n.bit_length() + 1)),
+                           Direction.INCREASING, ["a"])
+    res = i1_limit(i.integrate, seq)
+    assert res.lower == res.value == ExtReal(Fraction(10, 11))
+    assert res.upper == POS_INF and not res.converged
+    res = i1_limit(i.integrate, seq, depth=1)
+    assert res.value == ExtReal(Fraction(1, 2))
+    assert res.upper == POS_INF and not res.converged
 
 
 def test_decreasing_to_zero_integrals_vanish():
@@ -190,7 +244,7 @@ def test_divergent_sequence_reports_infinity():
     i = ElementaryIntegral(weighted_counting_premeasure(u))
     chi = SimpleFunction.indicator(RingSet.finite(u, ("a",)))
     seq = MonotoneSequence(lambda n: chi.scale(2**n), Direction.INCREASING, ["a"])
-    res = i1_limit(i.integrate, seq, depth=200, ceiling=Fraction(10**6))
+    res = i1_limit(i.integrate, seq, depth=200)
     assert res.value == POS_INF
 
 

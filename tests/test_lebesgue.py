@@ -88,6 +88,15 @@ def test_interval_length_bracket_from_tail_bound():
     assert res.upper.value - res.value.value == Fraction(1, 16)
 
 
+def test_large_interval_keeps_its_certified_bracket():
+    # the tail bound certifies [1.99e9, 2e9]; a size heuristic must not
+    # turn that bracket into +inf
+    res = interval_length_via_daniell(0, 2 * 10**9)
+    assert res.value == res.lower == ExtReal(199 * 10**7)
+    assert res.upper == ExtReal(2 * 10**9)
+    assert not res.converged  # the last two ramps still differ by about 10^5
+
+
 # -- piecewise-linear lattice ops ------------------------------------------------
 
 
