@@ -11,7 +11,9 @@ can serve as the other's oracle:
   unit square, diagonalised by the DST-I in both directions.  Both use
   numpy alone and report the residual of the stencil they solved; and
 * walk-on-spheres: unbiased point estimates with a reported standard
-  error.
+  error.  The walkers advance in contiguous blocks on a thread per CPU,
+  all fed from one random stream in walker order, so the estimate does
+  not depend on the number of threads.
 
 Discontinuous boundary data (arc indicators) never reaches the solvers
 directly; it enters only as the limit of monotone continuous ramps.
@@ -20,10 +22,14 @@ directly; it enters only as the limit of monotone continuous ramps.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .parallel import cpus
 
 TWO_PI = 2.0 * math.pi
 RESIDUAL_ULPS = 64  # disk residual gate: round-off in units of eps * top coefficient * max|g|
@@ -278,44 +284,81 @@ def solve_dirichlet(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
     return _solve_square_grid(dom, g)
 
 
-def _wos_estimate(dom: DiskDomain, g: BoundaryFunction, x, y, walks, seed):
-    """Walk-on-spheres estimate of u_g(x, y) over ``walks`` walkers, with
-    its standard error."""
-    if g.kind is not BoundaryKind.CONTINUOUS:
-        raise ValueError("discontinuous data must go through extend_boundary")
+_INLINE = 4096  # live walkers below which a step is not worth a dispatch
+_MAX_STEPS = 10_000
+
+
+def _blocks(walks: int) -> int:
+    """One block of walkers per CPU, none smaller than _INLINE."""
+    return max(1, min(cpus(), walks // _INLINE))
+
+
+def _wos_exits(dom: DiskDomain, x, y, walks, seed) -> np.ndarray:
+    """Boundary parameters of the exit points of ``walks`` walkers started
+    at (x, y), in walker order.
+
+    The walkers are cut into contiguous blocks, each advanced by its own
+    thread; the calling thread takes the first.  Each step draws one angle
+    per live walker from the single stream, in walker order, and hands
+    each block its slice.  A block drops its exited walkers in order, so
+    the live walkers of all blocks, read block by block, are those of one
+    serial walk, and each gets the same angle and the same float
+    operations.  The exits do not depend on the number of blocks.  Once
+    fewer than _INLINE walkers are live, the blocks merge and the calling
+    thread finishes the walk.
+    """
     if walks < 2:
         raise ValueError(f"a standard error needs at least 2 walks, got {walks}")
-    rng = np.random.default_rng(seed)
+    disk = dom.shape is Shape.UNIT_DISK
     px = np.empty(walks)  # exit points, by walker
     py = np.empty(walks)
-    live = np.arange(walks)  # walkers still farther than 1e-6 from the boundary
-    lx = np.full(walks, float(x))
-    ly = np.full(walks, float(y))
-    for _ in range(10_000):
-        if dom.shape is Shape.UNIT_DISK:
-            dist = 1.0 - np.hypot(lx, ly)
+
+    def step(block, ang):
+        """Move a block's walkers by their angles (none at the start), then
+        retire those within 1e-6 of the boundary."""
+        live, lx, ly, dist = block
+        if ang is not None:
+            lx += dist * np.cos(ang)
+            ly += dist * np.sin(ang)
+        # overwrite the old distances, which the caller still holds: a fresh
+        # array would keep both alive and raise the peak memory of the walk
+        if disk:
+            dist = np.subtract(1.0, np.hypot(lx, ly, out=dist), out=dist)
         else:
-            dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly))
+            dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly), out=dist)
         active = dist > 1e-6
-        if not active.all():
-            done = live[~active]
-            px[done], py[done] = lx[~active], ly[~active]
-            live, lx, ly, dist = live[active], lx[active], ly[active], dist[active]
-        if live.size == 0:
-            break
-        ang = rng.uniform(0.0, TWO_PI, size=live.size)
-        lx += dist * np.cos(ang)
-        ly += dist * np.sin(ang)
-    else:
-        raise SolverFailure("walk-on-spheres did not terminate")
-    if dom.shape is Shape.UNIT_DISK:
-        params = np.mod(np.arctan2(py, px), TWO_PI)
-    else:
-        params = _square_project(px, py)
-    vals = np.asarray(g(params), dtype=float)
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(walks))
-    return value, stderr
+        if active.all():
+            return live, lx, ly, dist
+        done = live[~active]
+        px[done], py[done] = lx[~active], ly[~active]
+        return live[active], lx[active], ly[active], dist[active]
+
+    rng = np.random.default_rng(seed)
+    blocks = [(idx, np.full(idx.size, float(x)), np.full(idx.size, float(y)), None)
+              for idx in np.array_split(np.arange(walks), _blocks(walks))]
+    angs = [None] * len(blocks)
+    # numpy drops the GIL in the ufuncs
+    with ThreadPoolExecutor(len(blocks) - 1) if len(blocks) > 1 else nullcontext() as pool:
+        for _ in range(_MAX_STEPS):
+            rest = [pool.submit(step, b, a) for b, a in zip(blocks[1:], angs[1:])]
+            blocks = [step(blocks[0], angs[0])] + [f.result() for f in rest]
+            sizes = [b[0].size for b in blocks]
+            n_live = sum(sizes)
+            if n_live == 0:
+                break
+            if len(blocks) > 1 and n_live < _INLINE:
+                blocks, sizes = [tuple(map(np.concatenate, zip(*blocks)))], [n_live]
+            angs = np.split(rng.uniform(0.0, TWO_PI, size=n_live), np.cumsum(sizes)[:-1])
+        else:
+            raise SolverFailure("walk-on-spheres did not terminate")
+    if disk:
+        return np.mod(np.arctan2(py, px), TWO_PI)
+    return _square_project(px, py)
+
+
+def _stderr(vals: np.ndarray) -> float:
+    """Standard error of the mean of per-walk values."""
+    return float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
 def _square_project(px, py):
@@ -337,6 +380,16 @@ class SolveConfig:
     walks: int = 100_000
 
 
+def _interior_point(x, dom: DiskDomain):
+    x0, x1 = float(x[0]), float(x[1])
+    if dom.shape is Shape.UNIT_DISK:
+        if not math.hypot(x0, x1) < 1.0:  # NaN too
+            raise ValueError("point must be strictly interior")
+    elif not (0.0 < x0 < 1.0 and 0.0 < x1 < 1.0):
+        raise ValueError("point must be strictly interior")
+    return x0, x1
+
+
 def ix_eval(x, g: BoundaryFunction, cfg: SolveConfig = SolveConfig()):
     """u_g at the interior point x = (x0, x1), for continuous g.
 
@@ -344,15 +397,13 @@ def ix_eval(x, g: BoundaryFunction, cfg: SolveConfig = SolveConfig()):
     reports stderr 0; walk-on-spheres uses ``cfg.walks`` walkers seeded
     by ``cfg.seed``.
     """
-    x0, x1 = float(x[0]), float(x[1])
-    if cfg.domain.shape is Shape.UNIT_DISK:
-        if not math.hypot(x0, x1) < 1.0:  # NaN too
-            raise ValueError("point must be strictly interior")
-    elif not (0.0 < x0 < 1.0 and 0.0 < x1 < 1.0):
-        raise ValueError("point must be strictly interior")
+    x0, x1 = _interior_point(x, cfg.domain)
     if cfg.solver is Solver.GRID:
         return solve_dirichlet(cfg.domain, g).at(x0, x1), 0.0
-    return _wos_estimate(cfg.domain, g, x0, x1, cfg.walks, cfg.seed)
+    if g.kind is not BoundaryKind.CONTINUOUS:
+        raise ValueError("discontinuous data must go through extend_boundary")
+    vals = np.asarray(g(_wos_exits(cfg.domain, x0, x1, cfg.walks, cfg.seed)), dtype=float)
+    return float(vals.mean()), _stderr(vals)
 
 
 class NonMonotoneBoundary(ValueError):
@@ -405,15 +456,25 @@ def harmonic_measure_of_arc(x, lo, hi, cfg: SolveConfig = SolveConfig(),
 
     Brackets the measure between the harmonic extensions of inner and
     outer continuous ramps; the midpoint cancels the symmetric ramp bias.
+    Walk-on-spheres reads both ramps at the same exit points, so its
+    stderr is that of the per-walk midpoints.
     """
     lower = arc_ramp(lo, hi, n, side="lower")
     upper = arc_ramp(lo, hi, n, side="upper")
-    v_lo, se_lo = ix_eval(x, lower, cfg)
-    v_hi, se_hi = ix_eval(x, upper, cfg)
+    if cfg.solver is Solver.GRID:
+        v_lo, _ = ix_eval(x, lower, cfg)
+        v_hi, _ = ix_eval(x, upper, cfg)
+        stderr = 0.0
+    else:
+        params = _wos_exits(cfg.domain, *_interior_point(x, cfg.domain),
+                            cfg.walks, cfg.seed)
+        lo_vals, hi_vals = lower(params), upper(params)
+        v_lo, v_hi = float(lo_vals.mean()), float(hi_vals.mean())
+        stderr = _stderr(0.5 * (lo_vals + hi_vals))
     return {
         "value": 0.5 * (v_lo + v_hi),
         "lower": v_lo,
         "upper": v_hi,
-        "stderr": 0.5 * math.hypot(se_lo, se_hi),
+        "stderr": stderr,
         "ramp_n": n,
     }

@@ -8,6 +8,7 @@ the limit that recovers b - a.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,14 +45,17 @@ class PiecewiseLinear:
         return PiecewiseLinear((), ())
 
     def eval(self, t) -> ExtReal:
-        t = Fraction(t)
-        if not self.xs or t <= self.xs[0] or t >= self.xs[-1]:
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        xs = self.xs
+        if not xs or t <= xs[0] or t >= xs[-1]:
             return ExtReal(0)
-        for (x0, y0), (x1, y1) in zip(zip(self.xs, self.ys),
-                                      zip(self.xs[1:], self.ys[1:])):
-            if x0 <= t <= x1:
-                return ExtReal(y0 + (y1 - y0) * (t - x0) / (x1 - x0))
-        return ExtReal(0)
+        i = bisect_left(xs, t)  # xs[i - 1] < t <= xs[i]
+        y0, y1 = self.ys[i - 1], self.ys[i]
+        if y0 == y1:  # a flat piece, such as a ramp's plateau
+            return ExtReal(y0)
+        x0 = xs[i - 1]
+        return ExtReal(y0 + (y1 - y0) * (t - x0) / (xs[i] - x0))
 
 
 def riemann_integral(f: PiecewiseLinear) -> Fraction:

@@ -34,7 +34,6 @@ line at t = 1 has mass 1/sqrt(2) instead of 1.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -43,6 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import intervals as iv
+from .parallel import cpus
 from .rings import BooleanOp
 
 INF = float("inf")
@@ -560,18 +560,11 @@ def _mc_hits(d: Cylinder, stream, m: int) -> int:
     return hits
 
 
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
 def _mc_premeasure(d: Cylinder, paths: int, seed: int):
     streams = np.random.SeedSequence(seed).spawn(math.ceil(paths / _BATCH))
     sizes = [min(_BATCH, paths - i * _BATCH) for i in range(len(streams))]
     # numpy drops the GIL in the draws and the ufuncs
-    with ThreadPoolExecutor(min(_cpus(), len(streams))) as pool:
+    with ThreadPoolExecutor(min(cpus(), len(streams))) as pool:
         hits = sum(pool.map(lambda job: _mc_hits(d, *job), zip(streams, sizes)))
     p = hits / paths
     if 0 < hits < paths:

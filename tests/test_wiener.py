@@ -13,6 +13,7 @@ Oracles:
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -207,7 +208,7 @@ def test_mc_counts_do_not_depend_on_threads(monkeypatch):
     d = w.Cylinder.of([HALF, ONE], [((-0.3, w.INF),), ((-1.0, 0.7),)])
 
     def run(cpus):
-        monkeypatch.setattr(w.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         return w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=5, paths=4_500_000)
 
     interval = sys.getswitchinterval()
