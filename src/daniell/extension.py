@@ -130,12 +130,10 @@ class MeasurableFunction:
 
     ``level_set_oracle(k, n)`` returns the ring set {t : x(t) > k 2^-n}.
     ``support`` is a ring set containing {x > 0} whose measure bounds the
-    bracket width; it may be None for indicator-like functions where
-    E_{1, n} already covers the support at every used depth.
+    bracket width.
     """
 
-    def __init__(self, evaluator, level_set_oracle,
-                 support: RingSet | None = None,
+    def __init__(self, evaluator, level_set_oracle, support: RingSet,
                  simple: SimpleFunction | None = None):
         self.evaluator = evaluator
         self._oracle = level_set_oracle
@@ -206,13 +204,11 @@ class MeasurableFunction:
                 BooleanOp.INTERSECT, level_set(phic, thr), self._oracle(k, n)
             )
 
-        supp = self.support
-        if supp is not None:
-            supp = boolean_combine(BooleanOp.INTERSECT, supp, level_set(phic, 0))
         return MeasurableFunction(
             evaluator=lambda t: min(phic.eval(t), self.eval(t)),
             level_set_oracle=oracle,
-            support=supp,
+            support=boolean_combine(BooleanOp.INTERSECT, self.support,
+                                    level_set(phic, 0)),
         )
 
 
@@ -258,13 +254,10 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
     s_n = Fraction(1, 2**n_max) * total
     if truncated:
         return IntegralResult(ExtReal(s_n), ExtReal(s_n), POS_INF, n_max, False)
-    if x.support is not None:
-        supp_measure = i.mu(x.support)
-        if not supp_measure.is_finite:
-            raise ValueError("support has infinite measure; no finite bracket")
-        gap = Fraction(1, 2**n_max) * supp_measure.value
-    else:
-        gap = Fraction(1, 2**n_max) * i.mu(x.level_set(1, n_max)).value
+    supp_measure = i.mu(x.support)
+    if not supp_measure.is_finite:
+        raise ValueError("support has infinite measure; no finite bracket")
+    gap = Fraction(1, 2**n_max) * supp_measure.value
     return IntegralResult(
         ExtReal(s_n), ExtReal(s_n), ExtReal(s_n + gap), n_max, True
     )
@@ -379,8 +372,6 @@ def approximate_in_t0(x: MeasurableFunction, i: ElementaryIntegral, eps,
     eps = Fraction(eps)
     if x.simple is not None:
         return x.simple
-    if x.support is None:
-        raise ValueError("approximation needs a support bound")
     supp = i.mu(x.support)
     if not supp.is_finite:
         raise ValueError("support has infinite measure")

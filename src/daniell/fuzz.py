@@ -57,6 +57,3 @@ def random_nonneg_simple_function(rng: random.Random, universe: Universe) -> Sim
                     random_ringset(rng, universe)))
     return SimpleFunction.of(universe, out)
 
-
-def rational_probes(rng: random.Random, count, lo=-1, hi=9):
-    return [random_fraction(rng, lo, hi, max_den=11) for _ in range(count)]

@@ -2,7 +2,7 @@
 
 Each criterion prints exactly one pass/fail line (to the real stderr, so
 the lines survive pytest's capture).  Criterion 5 includes a 10^7-path
-Monte-Carlo run and takes about a minute.
+Monte-Carlo run and takes about 0.2 s on a 2-vCPU VM.
 """
 
 import functools

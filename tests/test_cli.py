@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,6 +106,17 @@ def test_wiener_mc_records_seed(tmp_path):
     assert abs(out["value"] - 0.5) < 4 * out["stderr"]
 
 
+def test_daniell_seed_is_the_fallback_seed(tmp_path):
+    cyl = write_cylinder(tmp_path, [[1, 1]], [[[0.0, "+inf"]]])
+    args = ("--output", "-", "wiener", "--cylinder", cyl, "--method", "mc", "--paths", "50000")
+    env = {k: v for k, v in os.environ.items() if k != "DANIELL_SEED"}
+    by_env = run_cli(*args, env={**env, "DANIELL_SEED": "7"})
+    by_flag = run_cli(*args, "--seed", "7", env=env)
+    assert by_env.returncode == by_flag.returncode == 0
+    assert json.loads(by_env.stdout)["config"]["seed"] == 7
+    assert by_env.stdout == by_flag.stdout
+
+
 # -- dirichlet --------------------------------------------------------------------
 
 
@@ -201,11 +213,6 @@ def test_decompose_leading_negative_weight():
     out = run_json("decompose", "--weights", "-1,2")
     assert out["config"]["weights"] == "-1,2"
     assert frac(out["Splus"]) == 2 and frac(out["Sminus"]) == 1
-
-
-def test_rings_suite_exits_zero():
-    p = run_cli("rings")
-    assert p.returncode == 0
 
 
 def test_csv_projection():

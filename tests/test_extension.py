@@ -13,8 +13,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from daniell.extension import (
     ApproximationUnreachable,
@@ -41,7 +39,6 @@ from daniell.rings import (
     weighted_counting_premeasure,
 )
 
-LINE = Universe.real_line()
 LENGTH = ElementaryIntegral(length_premeasure())
 
 
@@ -272,23 +269,6 @@ def test_tail_bound_certifies_bracket():
 
 
 # -- measure recovered from the integral --------------------------------------
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.fractions(min_value=-4, max_value=4, max_denominator=4),
-            st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
-        ),
-        min_size=1,
-        max_size=3,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_measure_from_integral_matches_length(pieces):
-    e = RingSet.from_intervals([(a, a + w) for a, w in pieces])
-    mu = length_premeasure()
-    assert measure_from_integral(LENGTH, e) == mu(e)
 
 
 def test_measure_from_integral_counting_exhaustive():

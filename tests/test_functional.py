@@ -23,7 +23,7 @@ from daniell.functional import (
     positive_part_bruteforce,
     splus,
 )
-from daniell.lattice import SimpleFunction, absolute, pos_part
+from daniell.lattice import SimpleFunction, absolute
 from daniell.rings import (
     PreMeasure,
     RingSet,
@@ -81,16 +81,6 @@ def test_positive_part_matches_corner_oracle(nu, values):
     assert positive_part_bruteforce(s, x) == expected
 
 
-@given(weight_maps, value_maps, value_maps)
-def test_positive_part_additive_and_homogeneous(nu, va, vb):
-    s = SignedFunctional.of(U6, nu)
-    x, y = point_fn(U6, va), point_fn(U6, vb)
-    assert positive_part(s, x + y) == positive_part(s, x) + positive_part(s, y)
-    assert positive_part(s, x.scale(Fraction(3, 2))) == Fraction(3, 2) * positive_part(
-        s, x
-    )
-
-
 def test_positive_part_rejects_negative_argument():
     s = SignedFunctional.of(U6, {"a": 1})
     x = point_fn(U6, {"a": Fraction(-1)})
@@ -113,27 +103,6 @@ def test_decomposition_weights_are_jordan(nu):
         assert d.plus.integrate(chi) == max(w, 0)
         assert d.minus.integrate(chi) == max(-w, 0)
         assert d.abs.integrate(chi) == abs(w)
-
-
-@given(
-    weight_maps,
-    st.dictionaries(
-        st.sampled_from(LABELS),
-        st.fractions(min_value=-5, max_value=5, max_denominator=4),
-        max_size=6,
-    ),
-)
-@settings(max_examples=300)
-def test_decomposition_identities_on_fuzzed_functions(nu, values):
-    s = SignedFunctional.of(U6, nu)
-    d = jordan_decompose(s)
-    x = point_fn(U6, values)
-    sp = d.plus.integrate(x)
-    sm = d.minus.integrate(x)
-    assert s.evaluate(x) == sp - sm
-    assert d.abs.integrate(x) == sp + sm
-    # S+ agrees with the variational formula on the positive part
-    assert splus(s, x) == sp
 
 
 def test_splus_example():

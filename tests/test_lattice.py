@@ -128,15 +128,6 @@ def test_scale_pointwise(x, c):
 # -- lattice ops ------------------------------------------------------------
 
 
-@given(simple_fns, simple_fns)
-@settings(max_examples=150)
-def test_meet_join_pointwise(x, y):
-    m, j = meet(x, y), join(x, y)
-    for t in probes(x, y):
-        assert m.eval(t) == min(x.eval(t), y.eval(t))
-        assert j.eval(t) == max(x.eval(t), y.eval(t))
-
-
 @given(simple_fns)
 def test_abs_and_parts(x):
     a, p, n = absolute(x), pos_part(x), neg_part(x)
@@ -147,15 +138,6 @@ def test_abs_and_parts(x):
         assert n.eval(t) == max(-v, ZERO)
         assert (p - n).eval(t) == v
         assert (p + n).eval(t) == a.eval(t)
-
-
-@given(simple_fns, simple_fns)
-def test_join_via_abs_identity(x, y):
-    # x ∨ y = (x + y + |x − y|) / 2, the classical Riesz identity
-    lhs = join(x, y)
-    rhs = (x + y + absolute(x - y)).scale(Fraction(1, 2))
-    for t in probes(x, y):
-        assert lhs.eval(t) == rhs.eval(t)
 
 
 def test_lattice_op_dispatch():

@@ -25,7 +25,7 @@ import pytest
 
 from daniell import intervals as iv
 from daniell import wiener as w
-from daniell.rings import BooleanOp, RingSet
+from daniell.rings import RingSet
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -118,22 +118,6 @@ def test_endpoints_are_converted_once_per_universe():
     assert w.Cylinder.from_json(d.to_json()) == d
 
 
-def test_cylinder_ring_closure_vs_path_oracle():
-    d1 = w.Cylinder.of([HALF, ONE], [((0.0, w.INF),), w.FULL_LINE])
-    d2 = w.Cylinder.of([Fraction(3, 4), ONE], [((-1.0, 1.0),), ((-w.INF, 0.5),)])
-    inter = w.cylinder_combine(BooleanOp.INTERSECT, d1, d2)
-    diff = w.cylinder_combine(BooleanOp.DIFFERENCE, d1, d2)
-    times = sorted(set(d1.times) | set(d2.times))
-    paths = w.sample_paths(times, 3000, seed=42)
-    for row in paths:
-        p = dict(zip(times, row))
-        m1, m2 = d1.contains(p), d2.contains(p)
-        assert any(c.contains(p) for c in inter) == (m1 and m2)
-        assert any(c.contains(p) for c in diff) == (m1 and not m2)
-        # difference family members are pairwise disjoint
-        assert sum(c.contains(p) for c in diff) <= 1
-
-
 # -- quadrature values -----------------------------------------------------------
 
 
@@ -144,30 +128,10 @@ def test_single_time_interval_matches_cdf_oracle():
         assert abs(r["value"] - one_slot_oracle(a, b)) < 1e-8
 
 
-def test_orthant_probability():
-    d = w.Cylinder.of([HALF, ONE], [((0.0, w.INF),), ((0.0, w.INF),)])
-    r = w.wiener_premeasure(d, tol=1e-8)
-    assert abs(r["value"] - 0.375) < 1e-6
-    assert abs(orthant_oracle(0.5, 1.0) - 0.375) < 1e-15  # oracle sanity
-
-
 def test_orthant_oracle_other_times():
     d = w.Cylinder.of([Fraction(1, 4), ONE], [((0.0, w.INF),), ((0.0, w.INF),)])
     r = w.wiener_premeasure(d, tol=1e-8)
     assert abs(r["value"] - orthant_oracle(0.25, 1.0)) < 1e-6
-
-
-def test_additivity_on_same_partition():
-    times = [HALF, ONE]
-    cuts = [-w.INF, -0.7, 0.2, 1.1, w.INF]
-    total = 0.0
-    for i in range(4):
-        for j in range(4):
-            d = w.Cylinder.of(
-                times, [((cuts[i], cuts[i + 1]),), ((cuts[j], cuts[j + 1]),)]
-            )
-            total += w.wiener_premeasure(d, tol=1e-10)["value"]
-    assert abs(total - 1.0) < 1e-7
 
 
 # -- Monte Carlo -------------------------------------------------------------------
