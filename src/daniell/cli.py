@@ -19,11 +19,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import dirichlet as dmod
-from . import verify as vmod
-from . import wiener as wmod
 from .extension import level_set_integral, MeasurableFunction
 from .functional import (
+    ElementaryIntegral,
     SignedFunctional,
     jordan_decompose,
     positive_part_bruteforce,
@@ -31,7 +29,6 @@ from .functional import (
 from .lattice import SimpleFunction
 from .lebesgue import interval_length_via_daniell
 from .rings import RingSet, Universe, length_premeasure
-from .functional import ElementaryIntegral
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,7 +46,11 @@ def _frac(s: str) -> Fraction:
 def _default_seed(ns) -> int:
     if ns.seed is not None:
         return ns.seed
-    return int(os.environ.get("DANIELL_SEED", "0"))
+    raw = os.environ.get("DANIELL_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"DANIELL_SEED is not an integer: {raw!r}") from None
 
 
 def _emit(ns, record) -> None:
@@ -143,7 +144,8 @@ def _fjson(fr: Fraction):
 
 
 def _cmd_wiener(ns) -> int:
-    seed = _default_seed(ns)
+    from . import wiener as wmod
+
     try:
         with open(ns.cylinder) as fh:
             spec = json.load(fh)
@@ -155,6 +157,7 @@ def _cmd_wiener(ns) -> int:
     kernel = wmod.Kernel.UNNORMALIZED if ns.kernel == "paper" else wmod.Kernel.STANDARD
     method = wmod.Method.MONTE_CARLO if ns.method == "mc" else wmod.Method.QUADRATURE
     try:
+        seed = _default_seed(ns)
         result = wmod.wiener_premeasure(cyl, method=method, tol=ns.tol,
                                         seed=seed, kernel=kernel, paths=ns.paths)
     except wmod.ToleranceUnreachable as exc:
@@ -195,8 +198,10 @@ def _angle(s: str) -> float:
 
 
 def _cmd_dirichlet(ns) -> int:
-    seed = _default_seed(ns)
+    from . import dirichlet as dmod
+
     try:
+        seed = _default_seed(ns)
         kind, p1, p2 = _parse_boundary(ns.g)
         x = tuple(float(v) for v in ns.x.split(","))
         if len(x) != 2:
@@ -232,6 +237,8 @@ def _cmd_dirichlet(ns) -> int:
 
 def _suite_command(name):
     def run(ns):
+        from . import verify as vmod
+
         results = vmod.ALL_SUITES[name](quick=ns.quick)
         ok = all(r["pass"] for r in results)
         _emit(ns, {"config": {"command": name, "quick": ns.quick},
@@ -242,6 +249,8 @@ def _suite_command(name):
 
 
 def _cmd_verify_all(ns) -> int:
+    from . import verify as vmod
+
     results = vmod.verify_all(quick=ns.quick)
     summary = []
     ok = True

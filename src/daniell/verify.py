@@ -16,10 +16,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from . import dirichlet as dmod
-from . import wiener as wmod
 from .extension import (
     MeasurableFunction,
     indicator_measurable,
@@ -378,15 +374,14 @@ def extension_suite(quick=False):
     out.append(_record("extension.null_domination_and_completeness", ok))
 
     ok = True
-    counting = ElementaryIntegral(weighted_counting_premeasure(u))
-    measurable = []
-    for k in range(6):
-        for combo in itertools.combinations(labels, k):
-            e = RingSet.finite(u, combo)
-            v = measure_from_integral(counting, e)
-            if v != ExtReal(len(combo)):
+    measurable = [RingSet.finite(u, combo)
+                  for k in range(6) for combo in itertools.combinations(labels, k)]
+    halves = {lab: Fraction(i, 2) for i, lab in enumerate(labels, 1)}
+    for mu in (weighted_counting_premeasure(u), weighted_counting_premeasure(u, halves)):
+        integral = ElementaryIntegral(mu)
+        for e in measurable:
+            if measure_from_integral(integral, e) != mu(e):
                 ok = False
-            measurable.append(e)
     for a, b in itertools.product(measurable[:8], repeat=2):
         for op in (BooleanOp.UNION, BooleanOp.DIFFERENCE):
             if boolean_combine(op, a, b) not in measurable:
@@ -396,9 +391,11 @@ def extension_suite(quick=False):
     length = ElementaryIntegral(length_premeasure())
     x = MeasurableFunction.identity_on(0, 1)
     ok = True
-    for n in (1, 2, 4, 8):
+    for n in (1, 2, 4, 8, 10):
         res = level_set_integral(x, length, n_max=n)
         if not (res.lower.value <= Fraction(1, 2) <= res.upper.value):
+            ok = False
+        if res.upper.value - res.lower.value > Fraction(1, 2**n):
             ok = False
     out.append(_record("extension.level_set_bracket_soundness", ok))
     return out
@@ -498,6 +495,8 @@ def _random_pl(rng):
 
 
 def wiener_suite(quick=False):
+    from . import wiener as wmod
+
     rng = random.Random(5)
     out = []
 
@@ -587,6 +586,8 @@ def wiener_suite(quick=False):
 
 def _random_cylinder(rng):
     """A cylinder of 2-6 times in eighths: rays or bounded intervals."""
+    from . import wiener as wmod
+
     k = rng.randint(1, 5)
     times = sorted(rng.sample([Fraction(i, 8) for i in range(1, 8)], k)) + [Fraction(1)]
     sets = []
@@ -606,6 +607,10 @@ def _random_cylinder(rng):
 
 
 def dirichlet_suite(quick=False):
+    import numpy as np
+
+    from . import dirichlet as dmod
+
     rng = random.Random(6)
     out = []
     h = 1.0 / 32.0 if quick else 1.0 / 128.0
@@ -674,6 +679,10 @@ def dirichlet_suite(quick=False):
 
 
 def _random_trig_boundary(rng, nonneg=False):
+    import numpy as np
+
+    from . import dirichlet as dmod
+
     coeffs = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
     c0 = rng.uniform(0, 1)
     # shifting by the coefficient l1 norm keeps the data nonnegative

@@ -117,6 +117,17 @@ def test_daniell_seed_is_the_fallback_seed(tmp_path):
     assert by_env.stdout == by_flag.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ("wiener", "--cylinder", "{cyl}", "--method", "mc", "--paths", "1000"),
+    ("dirichlet", "--g", "const:1", "--x", "0,0", "--solver", "wos", "--walks", "100"),
+], ids=lambda args: args[0])
+def test_malformed_daniell_seed_is_bad_input(tmp_path, args):
+    cyl = write_cylinder(tmp_path, [[1, 1]], [[[0.0, "+inf"]]])
+    p = run_cli(*(a.format(cyl=cyl) for a in args), env={**os.environ, "DANIELL_SEED": "abc"})
+    assert p.returncode == 3
+    assert p.stderr == "DANIELL_SEED is not an integer: 'abc'\n"
+
+
 # -- dirichlet --------------------------------------------------------------------
 
 
@@ -222,6 +233,47 @@ def test_csv_projection():
     lines = [ln for ln in p.stdout.splitlines() if ln.strip()]
     assert len(lines) == 2  # header + one row
     assert "Splus" in lines[0]
+
+
+# -- layers loaded ----------------------------------------------------------------------
+
+
+LOADED_LAYERS = """
+import contextlib, io, sys
+from daniell.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+heavy = ("daniell.dirichlet", "daniell.verify", "daniell.wiener", "numpy", "scipy")
+print(code, *(name for name in heavy if name in sys.modules))
+"""
+
+
+# the layers each command's process loads, of those listed in LOADED_LAYERS
+COMMAND_LAYERS = {
+    "--help": "",
+    "integrate": "",
+    "lebesgue --interval 0 1": "",
+    "decompose --weights 1,-2": "",
+    "rings --quick": "daniell.verify",
+    "lattice --quick": "daniell.verify",
+    "wiener --cylinder {cyl}": "daniell.wiener numpy",
+    "dirichlet --g arc:0:pi --x 0.3,0.2 --h 0.03125": "daniell.dirichlet numpy",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_commands_load_only_their_layers(tmp_path, command):
+    # a fresh process imports only what its command runs: the exact commands
+    # never import numpy or a numeric solver, and no command imports scipy
+    cyl = write_cylinder(tmp_path, [[1, 2], [1, 1]], [[[0.0, "+inf"]], [[-1.0, 1.0]]])
+    argv = command.format(cyl=cyl).split()
+    p = subprocess.run([sys.executable, "-c", LOADED_LAYERS, *argv],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split() == ["0", *COMMAND_LAYERS[command].split()]
 
 
 # -- exact outputs ----------------------------------------------------------------------

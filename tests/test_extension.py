@@ -8,7 +8,6 @@ E_{k,n} = [k·2⁻ⁿ, 1), so the n-th dyadic sum is
 hence S₁ = 1/4, S₂ = 3/8, and |S_n − 1/2| = 2^{−n−1} < 2⁻ⁿ.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ from daniell.extension import (
     indicator_measurable,
     is_daniell_measurable,
     level_set_integral,
-    measure_from_integral,
     null_test,
 )
 from daniell.extreal import POS_INF, ExtReal
@@ -67,14 +65,6 @@ def test_identity_partial_sums_exact():
     assert dyadic_sum(x, LENGTH, 2) == Fraction(3, 8)
     for n in range(1, 11):
         assert dyadic_sum(x, LENGTH, n) == Fraction(1, 2) - Fraction(1, 2 ** (n + 1))
-
-
-def test_identity_integral_bracket():
-    x = MeasurableFunction.identity_on(0, 1)
-    res = level_set_integral(x, LENGTH, n_max=10)
-    half = ExtReal(Fraction(1, 2))
-    assert res.lower <= half <= res.upper
-    assert res.upper.value - res.lower.value <= Fraction(1, 2**10)
 
 
 def test_bracket_rule_width():
@@ -268,19 +258,7 @@ def test_tail_bound_certifies_bracket():
     assert res.lower <= ExtReal(1) <= res.upper
 
 
-# -- measure recovered from the integral --------------------------------------
-
-
-def test_measure_from_integral_counting_exhaustive():
-    u = Universe.finite(tuple("abcd"))
-    mu = weighted_counting_premeasure(
-        u, {lab: Fraction(i, 2) for i, lab in enumerate(u.labels, 1)}
-    )
-    i = ElementaryIntegral(mu)
-    for k in range(5):
-        for labs in itertools.combinations(u.labels, k):
-            e = RingSet.finite(u, labs)
-            assert measure_from_integral(i, e) == mu(e)
+# -- Daniell measurability ---------------------------------------------------
 
 
 def test_uncertified_probe_fails_measurability():

@@ -15,7 +15,6 @@ Oracles:
 import math
 import os
 import random
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -417,9 +416,3 @@ def test_unsettled_differences_are_not_reported_as_success():
     with pytest.raises(w.ToleranceUnreachable, match="did not settle") as info:
         w.wiener_premeasure(d, tol=1e-6)
     assert info.value.achieved < 1e-6
-
-
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, daniell.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
