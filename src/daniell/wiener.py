@@ -19,11 +19,13 @@ kernel window.  A time step much shorter than the finest cell allowed
 (steps of about 10^-6 and below) is computed too, but its error shrinks
 erratically with h, so there the refinement can end in
 ToleranceUnreachable, saying that the differences did not settle, even
-when the values already agree to far below tol.  Monte Carlo runs its
-seed streams of 10^6 paths on a thread per CPU, with counts that do not
-depend on the number of threads; its ``stderr`` is the binomial one,
-with a one-sided 97.5 % Clopper-Pearson bound in place of p when no
-path (or every path) hits.
+when the values already agree to far below tol.  Monte Carlo draws
+block i of 2^16 paths from its own seed stream, child i of
+SeedSequence(seed), and runs the blocks on a thread per CPU, with counts
+that do not depend on the number of threads; a job of one block, or on
+one CPU, runs in the calling thread.  Its ``stderr`` is the binomial
+one, with a one-sided 97.5 % Clopper-Pearson bound in place of p when
+no path (or every path) hits.
 
 The default kernel is exp(-dx^2 / (2 dt)) / sqrt(2 pi dt), which makes
 the full path space have measure 1.  kernel="unnormalized" drops the
@@ -34,6 +36,7 @@ line at t = 1 has mass 1/sqrt(2) instead of 1.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -62,6 +65,9 @@ def rs_to_json(a):
 
 
 def rs_from_json(obj):
+    """The (lo, hi) pairs of a set as rs_to_json writes it; Cylinder.of
+    normalizes them."""
+
     def end(v):
         if v in ("-inf", "-Infinity"):
             return -INF
@@ -71,7 +77,7 @@ def rs_from_json(obj):
 
     if obj and not isinstance(obj[0], (list, tuple)):
         obj = [obj]
-    return iv.normalize((end(lo), end(hi)) for lo, hi in obj)
+    return tuple((end(lo), end(hi)) for lo, hi in obj)
 
 
 def _parse_time(v) -> Fraction:
@@ -94,7 +100,11 @@ class Cylinder:
     @staticmethod
     def of(times, sets) -> Cylinder:
         times = tuple(_parse_time(t) for t in times)
-        sets = tuple(iv.normalize((float(lo), float(hi)) for lo, hi in s) for s in sets)
+        sets = tuple(tuple((float(lo), float(hi)) for lo, hi in s) for s in sets)
+        # normalize would read a NaN pair as empty, since lo < hi is false
+        if any(math.isnan(v) for s in sets for pair in s for v in pair):
+            raise ValueError("a set endpoint is NaN")
+        sets = tuple(iv.normalize(s) for s in sets)
         if len(times) != len(sets):
             raise ValueError("one Borel set per time")
         if any(t <= 0 or t > 1 for t in times):
@@ -528,44 +538,58 @@ def sample_paths(times, count: int, seed: int) -> np.ndarray:
     return np.cumsum(incr, axis=1)
 
 
-_BATCH = 1_000_000  # paths per seed stream
-_ROWS = 1 << 16  # paths drawn and tested at a time
+_BLOCK = 1 << 16  # paths per seed stream, drawn and tested at once
 
 
 def _mc_hits(d: Cylinder, stream, m: int) -> int:
     """Paths among m drawn from one seed stream that lie in d.
 
-    The stream's (m, n) normal draw is taken a block of rows at a time,
-    which the generator fills in the same order, and each time is one
+    The stream's (m, n) normal draw is taken at once, and each time is one
     contiguous row summed in place, x_j = x_{j-1} + z_j sqrt(dt_j).  These
     are the same float operations whatever thread runs them, so the count
     does not depend on scheduling.
     """
     rng = np.random.default_rng(stream)
     scale = np.sqrt(np.diff([0.0] + [float(t) for t in d.times]))
-    hits = 0
-    for start in range(0, m, _ROWS):
-        z = rng.standard_normal((min(_ROWS, m - start), len(d.times)))
-        x = z[:, 0] * scale[0]
-        ok = np.ones(len(x), dtype=bool)
-        for j, s in enumerate(d.sets):
-            if j:
-                x += z[:, j] * scale[j]
-            if s != FULL_LINE:
-                member = np.zeros(len(x), dtype=bool)
-                for lo, hi in s:
-                    member |= (x >= lo) & (x < hi)
-                ok &= member
-        hits += int(np.count_nonzero(ok))
-    return hits
+    z = rng.standard_normal((m, len(d.times)))
+    x = z[:, 0] * scale[0]
+    ok = np.ones(m, dtype=bool)
+    for j, s in enumerate(d.sets):
+        if j:
+            x += z[:, j] * scale[j]
+        if s != FULL_LINE:
+            member = np.zeros(m, dtype=bool)
+            for lo, hi in s:
+                member |= (x >= lo) & (x < hi)
+            ok &= member
+    return int(np.count_nonzero(ok))
 
 
 def _mc_premeasure(d: Cylinder, paths: int, seed: int):
-    streams = np.random.SeedSequence(seed).spawn(math.ceil(paths / _BATCH))
-    sizes = [min(_BATCH, paths - i * _BATCH) for i in range(len(streams))]
-    # numpy drops the GIL in the draws and the ufuncs
-    with ThreadPoolExecutor(min(cpus(), len(streams))) as pool:
-        hits = sum(pool.map(lambda job: _mc_hits(d, *job), zip(streams, sizes)))
+    blocks = -(-paths // _BLOCK)
+    todo, lock = iter(range(blocks)), threading.Lock()
+
+    def worker():
+        """Hits in the blocks this thread takes, until none is left; block
+        i's stream, child i of SeedSequence(seed), is built when it starts."""
+        total = 0
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return total
+            stream = np.random.SeedSequence(seed, spawn_key=(i,))
+            total += _mc_hits(d, stream, min(_BLOCK, paths - i * _BLOCK))
+
+    workers = min(cpus(), blocks)
+    if workers == 1:
+        hits = worker()
+    else:
+        # numpy drops the GIL in the draws and the ufuncs; the counts are
+        # integers, so their sum does not depend on which thread took which
+        # block
+        with ThreadPoolExecutor(workers) as pool:
+            hits = sum(pool.map(lambda _: worker(), range(workers)))
     p = hits / paths
     if 0 < hits < paths:
         return p, math.sqrt(p * (1 - p) / paths)

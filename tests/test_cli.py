@@ -201,6 +201,17 @@ def test_out_of_range_number_is_bad_input(tmp_path, args):
     assert len(p.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("method", ["quad", "mc"])
+def test_nan_set_endpoint_is_bad_input(tmp_path, method):
+    # a NaN pair is not an empty set; a reversed pair is, and stays accepted
+    args = ("wiener", "--method", method, "--paths", "1000", "--cylinder")
+    nan = run_cli(*args, write_cylinder(tmp_path, [[1, 1]], [[[0.0, "NaN"]]]))
+    assert nan.returncode == 3, nan.stdout
+    assert nan.stderr == "bad cylinder spec: a set endpoint is NaN\n"
+    out = run_json(*args, write_cylinder(tmp_path, [[1, 1]], [[[1.0, 0.0]]]))
+    assert out["value"] == 0.0
+
+
 # -- values that start with '-' -------------------------------------------------------
 
 

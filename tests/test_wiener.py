@@ -16,7 +16,9 @@ import math
 import os
 import random
 import sys
+import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -157,17 +159,33 @@ def test_mc_reproducible_and_consistent_with_quad():
 
 
 def test_mc_paths_per_stream_keep_their_counts():
-    # 3 seed streams of 10^6 paths, run on as many threads as there are
-    # CPUs: value and stderr as drawn stream by stream in one thread
+    # 39 blocks of 2^16 paths, block i drawn from child i of SeedSequence(11)
+    # and run on as many threads as there are CPUs: the counts of a plain
+    # serial loop over the same blocks
     d = w.Cylinder.of([Fraction(1, 4), HALF, ONE],
                       [((-0.5, w.INF),), ((-1.0, 1.0),), ((-w.INF, 0.8),)])
-    mc = w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=11, paths=2_500_000)
-    assert mc == {"value": 0.5894556, "stderr": 0.0003111255024125409}
+    paths = 2_500_000
+    blocks = -(-paths // w._BLOCK)
+    assert blocks == 39
+    hits = sum(w._mc_hits(d, np.random.SeedSequence(11, spawn_key=(i,)),
+                          min(w._BLOCK, paths - i * w._BLOCK))
+               for i in range(blocks))
+    mc = w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=11, paths=paths)
+    assert mc["value"] == hits / paths
+    assert mc == {"value": 0.5895204, "stderr": 0.00031111804703928055}
+
+
+def test_mc_single_block_is_unchanged():
+    # 2^16 paths are one block, drawn from child 0 of SeedSequence(3), the
+    # stream that the first of any number of blocks draws from
+    d = w.Cylinder.of([HALF, ONE], [((-0.5, w.INF),), ((-w.INF, 1.0),)])
+    mc = w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=3, paths=1 << 16)
+    assert mc == {"value": 0.6042022705078125, "stderr": 0.0019102396726615595}
 
 
 def test_mc_counts_do_not_depend_on_threads(monkeypatch):
-    # five seed streams on five threads switching every microsecond, and
-    # on one thread: the same counts
+    # 69 blocks of 2^16 paths on eight threads switching every microsecond,
+    # and on one thread: the same counts
     d = w.Cylinder.of([HALF, ONE], [((-0.3, w.INF),), ((-1.0, 0.7),)])
 
     def run(cpus):
@@ -181,6 +199,66 @@ def test_mc_counts_do_not_depend_on_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert many == run(1)
+
+
+def _record_threads(monkeypatch, barrier=None):
+    """Wrap _mc_hits to record the thread of each block; with a barrier,
+    every block waits there until as many blocks run at once."""
+    seen = []
+    mc_hits = w._mc_hits
+
+    def recording(d, stream, m):
+        seen.append(threading.get_ident())
+        if barrier is not None:
+            barrier.wait(timeout=10)
+        return mc_hits(d, stream, m)
+
+    monkeypatch.setattr(w, "_mc_hits", recording)
+    return seen
+
+
+def test_mc_blocks_run_on_a_thread_per_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # each block waits for the other, so one thread cannot take both
+    seen = _record_threads(monkeypatch, threading.Barrier(2))
+    d = w.Cylinder.of([ONE], [((0.0, w.INF),)])
+    w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=2, paths=2 * w._BLOCK)
+    assert len(seen) == 2 and len(set(seen)) == 2
+
+
+def test_mc_single_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    seen = _record_threads(monkeypatch)
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    d = w.Cylinder.of([ONE], [((0.0, w.INF),)])
+    w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=2, paths=w._BLOCK)
+    assert seen == [threading.get_ident()] and started == []
+
+
+def test_mc_memory_does_not_grow_with_blocks(monkeypatch):
+    # 20 000 blocks under a stub kernel: no list of streams and no future
+    # per block (together about 40 MB here), so the peak stays under 1 MB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(w, "_mc_hits", lambda d, stream, m: m // 2)
+    d = w.Cylinder.of([ONE], [((0.0, w.INF),)])
+    # a first threaded call loads modules, whose objects tracemalloc would count
+    w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=2, paths=2 * w._BLOCK)
+    tracemalloc.start()
+    try:
+        mc = w.wiener_premeasure(d, method=w.Method.MONTE_CARLO, seed=2,
+                                 paths=w._BLOCK * 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc["value"] == 0.5
+    assert peak < 1 << 20
 
 
 def test_mc_stderr_without_hits_is_clopper_pearson():
