@@ -12,6 +12,14 @@ support wherever x <= 2^n, which yields the bracket width
 2^-n * mu(support).  Where x exceeds 2^n on a set of positive measure
 at the last depth, the sum is cut off and no upper bound follows: the
 result then has upper = +inf and is not converged.
+
+The level sets nest, E_{k+1,n} inside E_{k,n}, so two equal sets E_{k,n}
+= E_{k',n} force every set between them to equal them too.  The sum is
+therefore taken over runs of equal sets (``_level_runs``): each run is
+found by galloping and bisection over k (level by level up to k = 32,
+where the nesting spot-check reaches), and its set is measured once,
+counted as often as the run is long.  Equal ring sets have equal
+measure, so the run sum is the level-by-level sum exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ DEFAULT_LEVEL_DEPTH = 16
 DEFAULT_SEQ_DEPTH = 1000
 DEFAULT_CEILING = Fraction(10**9)
 CAUCHY_TOL = Fraction(1, 10**6)
+# levels k <= NEST_CHECK_TOP are checked for nesting as they are asked for
+NEST_CHECK_TOP = 32
 
 
 class Direction(Enum):
@@ -140,6 +150,7 @@ class MeasurableFunction:
         self.support = support
         self.simple = simple
         self._checked = set()
+        self._last = None  # ((k, n), E_{k,n}) of the last level asked for
 
     def eval(self, t) -> ExtReal:
         return ExtReal.of(self.evaluator(t))
@@ -147,12 +158,15 @@ class MeasurableFunction:
     def level_set(self, k: int, n: int) -> RingSet:
         e = self._oracle(k, n)
         # spot-check the nesting invariants the dyadic scheme relies on
-        # (bounded k so deep sweeps stay cheap)
-        if (k, n) not in self._checked and 2 <= k <= 32:
-            prev = self._oracle(k - 1, n)
+        # (bounded k so deep sweeps stay cheap; a walk in order of k
+        # compares with the set it asked for last)
+        if (k, n) not in self._checked and 2 <= k <= NEST_CHECK_TOP:
+            last = self._last
+            prev = last[1] if last and last[0] == (k - 1, n) else self._oracle(k - 1, n)
             if not e.subset_of(prev):
                 raise LevelSetNestingError(f"E_{k},{n} not inside E_{k-1},{n}")
             self._checked.add((k, n))
+        self._last = ((k, n), e)
         return e
 
     @staticmethod
@@ -228,6 +242,46 @@ def dyadic_levels(x: MeasurableFunction, n: int):
     return out
 
 
+def _level_runs(x: MeasurableFunction, n: int):
+    """The nonempty level sets at depth n as maximal runs of equal sets.
+
+    Yields (count, E, last) for E = E_{k,n} = ... = E_{k+count-1,n},
+    in increasing k, where ``last`` says that the run reaches the top
+    level k = 2^(2n).  The walk asks for every level k <= NEST_CHECK_TOP
+    in turn, so each of them passes ``x.level_set``'s nesting check.
+    Above that, from the first level k of a run it gallops (k+1, k+3,
+    k+7, ...) while the set stays equal, then bisects for the last equal
+    index; the first set that differs starts the next run, and an empty
+    set ends the walk.  Nesting makes the run between two equal sets
+    constant, so with d distinct nonempty sets the walk asks
+    ``x.level_set`` for at most d * (4n + 2) + NEST_CHECK_TOP sets.
+    """
+    top = 4**n
+    k, e = 1, x.level_set(1, n)
+    while not e.is_empty:
+        same, step, nxt = k, 1, None  # E_same == e; nxt = E_differ
+        while k + step <= top:
+            f = x.level_set(k + step, n)
+            if f != e:
+                nxt = f
+                break
+            same = k + step
+            step = step + 1 if same < NEST_CHECK_TOP else 2 * step + 1
+        differ = min(k + step, top + 1)
+        while differ - same > 1:
+            mid = (same + differ) // 2
+            f = x.level_set(mid, n)
+            if f == e:
+                same = mid
+            else:
+                differ, nxt = mid, f
+        last = differ > top
+        yield same - k + 1, e, last
+        if last:
+            return
+        k, e = differ, nxt
+
+
 def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
                        n_max=DEFAULT_LEVEL_DEPTH) -> IntegralResult:
     """Integral of nonnegative x via the dyadic level-set sum S_n_max.
@@ -236,18 +290,19 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
     and 2^-n_max * mu(support) the bracket width.  The upper end is +inf
     when the sum is cut off at k = 2^(2n) with mass above it, and the
     value is +inf when a level set has infinite measure.
+
+    A simple x sums its canonical pieces in closed form.  Any other x is
+    summed over runs of equal level sets (``_level_runs``): a run of
+    count equal sets adds count * mu(E), which is exactly the sum of its
+    levels, since the sets are equal; the sum is cut off when the last
+    run reaches k = 2^(2n) with positive measure.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if x.simple is not None:
         level_sum = _simple_level_sum(x.simple, i, n_max)
     else:
-        masses = [i.mu(e) for e in dyadic_levels(x, n_max)]
-        level_sum = None
-        if all(m.is_finite for m in masses):
-            # cut off when all 4^n levels are nonempty and the last is not null
-            level_sum = (sum((m.value for m in masses), Fraction(0)),
-                         len(masses) == 4**n_max and masses[-1].value > 0)
+        level_sum = _generic_level_sum(x, i, n_max)
     if level_sum is None:
         return IntegralResult(POS_INF, ExtReal(0), POS_INF, n_max, False)
     total, truncated = level_sum
@@ -261,6 +316,20 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
     return IntegralResult(
         ExtReal(s_n), ExtReal(s_n), ExtReal(s_n + gap), n_max, True
     )
+
+
+def _generic_level_sum(x: MeasurableFunction, i: ElementaryIntegral, n: int):
+    """(sum_k mu(E_{k,n}), truncated) over the runs of equal level sets;
+    None when a level set has infinite measure."""
+    total = Fraction(0)
+    truncated = False
+    for count, e, last in _level_runs(x, n):
+        m = i.mu(e)
+        if not m.is_finite:
+            return None
+        total += count * m.value
+        truncated = last and m.value > 0
+    return total, truncated
 
 
 def _simple_level_sum(xc: SimpleFunction, i: ElementaryIntegral, n: int):
@@ -364,7 +433,8 @@ def approximate_in_t0(x: MeasurableFunction, i: ElementaryIntegral, eps,
                       n_max=DEFAULT_LEVEL_DEPTH) -> SimpleFunction:
     """A simple function within eps of x in the upper-functional gap.
 
-    Returns the dyadic approximant phi_n = 2^-n sum chi_{E_{k,n}} with n
+    Returns the dyadic approximant phi_n = 2^-n sum chi_{E_{k,n}}, built
+    with one term count * 2^-n * chi_E per run of equal level sets, with n
     chosen so the bracket width 2^-n * mu(support) is below eps and the
     top level E_{4^n,n} = {x > 2^n}, above which phi_n is cut off, is
     null.  Past n_max it raises ApproximationUnreachable.
@@ -386,5 +456,5 @@ def approximate_in_t0(x: MeasurableFunction, i: ElementaryIntegral, eps,
         if n > n_max:  # mass above 2^n_max: no depth bounds the gap
             raise ApproximationUnreachable(POS_INF)
     universe = x.support.universe
-    terms = [(Fraction(1, 2**n), e) for e in dyadic_levels(x, n)]
+    terms = [(Fraction(count, 2**n), e) for count, e, _ in _level_runs(x, n)]
     return canonicalize(SimpleFunction(universe, tuple(terms)))

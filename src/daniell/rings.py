@@ -47,7 +47,7 @@ class Universe:
 
     @staticmethod
     def real_line() -> Universe:
-        return Universe(UniverseKind.REAL_LINE)
+        return _REAL_LINE
 
     @staticmethod
     def path_space() -> Universe:
@@ -63,6 +63,9 @@ class Universe:
         if obj["kind"] == "finite":
             return Universe.finite(obj["labels"])
         return Universe(UniverseKind(obj["kind"]))
+
+
+_REAL_LINE = Universe(UniverseKind.REAL_LINE)
 
 
 class UniverseMismatch(ValueError):
@@ -114,7 +117,9 @@ class RingSet:
 
     @staticmethod
     def interval(a, b) -> RingSet:
-        return RingSet.from_intervals([(a, b)])
+        """[a, b), empty unless a < b; one pair is already in normal form."""
+        a, b = _fraction(a), _fraction(b)
+        return RingSet(_REAL_LINE, intervals=((a, b),) if a < b else ())
 
     @staticmethod
     def empty(universe: Universe) -> RingSet:
@@ -246,13 +251,14 @@ class PreMeasure:
         return v
 
 
+def _length(e: RingSet) -> Fraction:
+    lengths = [b - a for a, b in e.intervals]
+    return sum(lengths[1:], lengths[0]) if lengths else Fraction(0)
+
+
 def length_premeasure() -> PreMeasure:
     """Interval length Sum(b_i - a_i) on the real-line ring."""
-    return PreMeasure(
-        Universe.real_line(),
-        lambda e: sum((b - a for a, b in e.intervals), Fraction(0)),
-        name="length",
-    )
+    return PreMeasure(Universe.real_line(), _length, name="length")
 
 
 def weighted_counting_premeasure(universe: Universe, weights=None, name=None) -> PreMeasure:

@@ -14,8 +14,10 @@ from fractions import Fraction
 import pytest
 
 from daniell.extension import (
+    NEST_CHECK_TOP,
     ApproximationUnreachable,
     Direction,
+    LevelSetNestingError,
     MeasurableFunction,
     MonotoneSequence,
     approximate_in_t0,
@@ -34,16 +36,36 @@ from daniell.rings import (
     RingSet,
     Universe,
     length_premeasure,
+    union,
     weighted_counting_premeasure,
 )
 
 LENGTH = ElementaryIntegral(length_premeasure())
+LINE = Universe.real_line()
 
 
 def dyadic_sum(x, i, n):
     """Oracle: S_n computed directly from the level sets."""
     total = sum((i.mu(e).value for e in dyadic_levels(x, n)), Fraction(0))
     return total / 2**n
+
+
+def step_oracle(pieces, universe=None):
+    """A hand-built oracle for the step function with disjoint pieces
+    (set, value): E_{k,n} is the union of the pieces above k 2^-n."""
+    universe = universe or Universe.real_line()
+
+    def oracle(k, n):
+        out = RingSet.empty(universe)
+        for s, v in pieces:
+            if v > Fraction(k, 2**n):
+                out = union(out, s)
+        return out
+
+    support = oracle(0, 0)
+    return MeasurableFunction(lambda t: max((v for s, v in pieces if s.contains(t)),
+                                            default=Fraction(0)),
+                              oracle, support)
 
 
 # -- the identity-function example -------------------------------------------
@@ -123,16 +145,22 @@ def test_only_depth_n_max_is_evaluated():
 def test_infinite_measure_level_set_same_record_on_both_paths():
     # ½ on an atom of infinite mass and 3 on an atom of mass 1: E_{1,n}
     # has infinite measure from n = 2 on, so no finite sum S_n exists
-    u = Universe.finite(("a", "b"))
+    u = Universe.finite(("a", "b", "c"))
     i = ElementaryIntegral(PreMeasure(
         u, lambda e: POS_INF if "a" in e.points else Fraction(len(e.points))))
     phi = SimpleFunction.of(u, [(Fraction(1, 2), RingSet.finite(u, ("a",))),
                                 (3, RingSet.finite(u, ("b",)))])
     both = RingSet.finite(u, ("a", "b"))
     big = MeasurableFunction.from_simple(SimpleFunction.indicator(both, 8))
+    # through a hand-built oracle, "a" sits in the first, a middle or the
+    # last (truncating) run of equal level sets
+    by_oracle = [step_oracle([(RingSet.finite(u, ("a",)), Fraction(va)),
+                              (RingSet.finite(u, ("b",)), Fraction(3)),
+                              (RingSet.finite(u, ("c",)), Fraction(5, 4))], u)
+                 for va in (Fraction(3, 4), 2, 40)]
     expected = {"value": "+inf", "lower": ExtReal(0).to_json(), "upper": "+inf",
                 "depth": 3, "converged": False}
-    for x in (MeasurableFunction.from_simple(phi), big.meet_with_simple(phi)):
+    for x in (MeasurableFunction.from_simple(phi), big.meet_with_simple(phi), *by_oracle):
         assert level_set_integral(x, i, n_max=3).to_json() == expected
 
 
@@ -142,6 +170,111 @@ def test_level_sets_nest():
         levels = dyadic_levels(x, n)
         for a, b in zip(levels, levels[1:]):
             assert b.subset_of(a)
+
+
+# -- the run walk against the level-by-level sum -------------------------------
+
+
+def plain_level_sum(x, i, n):
+    """Reference: the record of S_n = dyadic_sum, one level at a time."""
+    masses = [i.mu(e) for e in dyadic_levels(x, n)]
+    if not all(m.is_finite for m in masses):
+        return {"value": "+inf", "lower": ExtReal(0).to_json(), "upper": "+inf",
+                "depth": n, "converged": False}
+    s_n = dyadic_sum(x, i, n)
+    if len(masses) == 4**n and masses[-1].value > 0:
+        upper, converged = POS_INF, False
+    else:
+        upper, converged = ExtReal(s_n + i.mu(x.support).value / 2**n), True
+    return {"value": ExtReal(s_n).to_json(), "lower": ExtReal(s_n).to_json(),
+            "upper": upper.to_json(), "depth": n, "converged": converged}
+
+
+def random_step_pieces(rng, count):
+    ends = sorted(rng.sample(range(0, 96), 2 * count))
+    return [(RingSet.interval(Fraction(ends[2 * j], 8), Fraction(ends[2 * j + 1], 8)),
+             Fraction(rng.randint(1, 48), rng.randint(1, 8))) for j in range(count)]
+
+
+def test_run_sum_matches_the_level_by_level_sum():
+    rng = random.Random(14)
+    for n in range(1, 9):
+        for _ in range(3):
+            a = Fraction(rng.randint(0, 24), rng.randint(1, 8))
+            b = a + Fraction(rng.randint(1, 24), rng.randint(1, 8))
+            x = MeasurableFunction.identity_on(a, b)
+            assert level_set_integral(x, LENGTH, n_max=n).to_json() == plain_level_sum(x, LENGTH, n)
+    for n in range(1, 6):
+        for _ in range(4):
+            pieces = random_step_pieces(rng, rng.randint(1, 6))
+            phi = SimpleFunction.of(LINE, [(v, s) for s, v in pieces])
+            c = Fraction(rng.randint(1, 64), rng.randint(1, 4))
+            x = MeasurableFunction.from_simple(
+                SimpleFunction.indicator(RingSet.interval(0, 12), c)).meet_with_simple(phi)
+            assert level_set_integral(x, LENGTH, n_max=n).to_json() == plain_level_sum(x, LENGTH, n)
+            # the same function through a hand-built oracle
+            y = step_oracle(pieces)
+            assert level_set_integral(y, LENGTH, n_max=n).to_json() == plain_level_sum(y, LENGTH, n)
+
+
+def test_run_sum_truncates_when_the_last_run_reaches_the_top_level():
+    # 100 on [0, 1/2) stays above 2^n for n <= 6: the last run ends at k = 4^n
+    pieces = [(RingSet.interval(0, Fraction(1, 2)), Fraction(100)),
+              (RingSet.interval(1, 3), Fraction(3, 2))]
+    x = step_oracle(pieces)
+    for n in range(1, 9):
+        expected = plain_level_sum(x, LENGTH, n)
+        assert level_set_integral(x, LENGTH, n_max=n).to_json() == expected
+        assert (expected["upper"] == "+inf") == (n <= 6)
+    # a run that reaches the top level with zero mass is no truncation
+    u = Universe.finite(("a", "b"))
+    i = ElementaryIntegral(weighted_counting_premeasure(u, {"a": 0, "b": 1}))
+    y = step_oracle([(RingSet.finite(u, ("a",)), Fraction(100)),
+                     (RingSet.finite(u, ("b",)), Fraction(1, 2))], u)
+    res = level_set_integral(y, i, n_max=2)
+    assert res.to_json() == plain_level_sum(y, i, 2) and res.converged
+
+
+def test_run_walk_asks_for_few_level_sets(monkeypatch):
+    # d distinct nonempty levels at depth n cost at most d (4n + 2) + 32
+    # calls: the levels k <= 32 one by one, then per run at most 2n + 1
+    # galloping probes and 2n bisection probes
+    rng = random.Random(5)
+    asked = []
+    original = MeasurableFunction.level_set
+
+    def counted(self, k, n):
+        asked.append(k)
+        return original(self, k, n)
+
+    for n in (1, 3, 6):
+        for count in (1, 3, 6):
+            x = step_oracle(random_step_pieces(rng, count))
+            levels = dyadic_levels(x, n)
+            d = len(set(levels))
+            asked.clear()
+            monkeypatch.setattr(MeasurableFunction, "level_set", counted)
+            level_set_integral(x, LENGTH, n_max=n)
+            monkeypatch.undo()
+            assert len(asked) <= d * (4 * n + 2) + NEST_CHECK_TOP
+            if n == 6:  # one call per nonempty level would be hundreds
+                assert len(asked) < len(levels) // 2
+
+
+@pytest.mark.parametrize("broken", [3, 17, NEST_CHECK_TOP])
+def test_nesting_break_inside_a_run_is_caught(broken):
+    # E_broken = [0, 2) sits inside a run of [0, 1) whose ends are equal;
+    # the walk still asks for every level k <= 32, so the spot-check sees it
+    def oracle(k, n):
+        if k == broken:
+            return RingSet.interval(0, 2)
+        return RingSet.interval(0, 1) if k <= 40 else RingSet.empty(LINE)
+
+    x = MeasurableFunction(lambda t: 0, oracle, RingSet.interval(0, 2))
+    with pytest.raises(LevelSetNestingError):
+        level_set_integral(x, LENGTH, n_max=3)
+    with pytest.raises(LevelSetNestingError):
+        approximate_in_t0(x, LENGTH, 1, n_max=3)
 
 
 # -- monotone limits (I1) ----------------------------------------------------

@@ -94,6 +94,17 @@ def test_boolean_combine_dispatch():
     assert boolean_combine(BooleanOp.DIFFERENCE, a, b) == iv((0, 1))
 
 
+def test_one_interval_constructor_matches_the_general_one():
+    ends = [(0, 1), (Fraction(1, 3), Fraction(5, 2)), ("1/4", "3/4"), (-2, "7/3"),
+            (2, 2), (Fraction(3, 2), "3/2"), (3, 1), ("5/2", Fraction(1, 2))]
+    for a, b in ends:
+        s = RingSet.interval(a, b)
+        assert s == RingSet.from_intervals([(a, b)])
+        assert s.is_empty == (Fraction(a) >= Fraction(b))
+        assert all(type(e) is Fraction for pair in s.intervals for e in pair)
+    assert Universe.real_line() is Universe.real_line()
+
+
 def test_json_roundtrip():
     s = iv((0, 1), (2, Fraction(5, 2)))
     assert RingSet.from_json(s.to_json()) == s
