@@ -187,6 +187,8 @@ def test_bad_interval_exit_code():
     ("dirichlet", "--g", "const:nan", "--x", "0,0"),
     ("dirichlet", "--g", "const:nan", "--x", "0.5,0.5", "--domain", "square"),
     ("dirichlet", "--g", "arc:0:nan", "--x", "0,0"),
+    ("dirichlet", "--g", "arc:0:2pi", "--x", "0.5,0.2"),
+    ("dirichlet", "--g", "arc:1:5", "--x", "0.5,0.2", "--domain", "square"),
     ("dirichlet", "--g", "cos", "--x", "0,0", "--solver", "wos", "--walks", "100", "--h", "nan"),
     ("wiener", "--cylinder", "{cyl}", "--tol", "0"),
     ("wiener", "--cylinder", "{cyl}", "--method", "mc", "--paths", "0"),

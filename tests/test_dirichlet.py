@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,47 @@ def test_arc_ramps_bracket_the_indicator():
         assert lower(phi) <= ind(phi) <= upper(phi) + 1e-12
 
 
+def test_square_arcs_wrap_at_the_square_period():
+    # (0.5, 0.2) is symmetric about x = 1/2, so the arc [3.5, 4.5], which
+    # wraps past the corner at s = 4 = 0, has the measure of its mirror
+    # image [0.5, 1.5]; wrapping at 2pi kept only [3.5, 4] and read 0.10
+    cfg = SolveConfig(domain=DiskDomain(Shape.UNIT_SQUARE, 1 / 64))
+    wrapped = harmonic_measure_of_arc((0.5, 0.2), 3.5, 4.5, cfg)
+    mirror = harmonic_measure_of_arc((0.5, 0.2), 0.5, 1.5, cfg)
+    for key in ("lower", "upper"):
+        assert wrapped[key] == pytest.approx(mirror[key], abs=1e-12)
+    # and its two halves, split at the corner, sum to a bracket that meets it
+    halves = [harmonic_measure_of_arc((0.5, 0.2), a, b, cfg) for a, b in [(3.5, 4.0), (0.0, 0.5)]]
+    assert sum(h["lower"] for h in halves) <= wrapped["upper"]
+    assert wrapped["lower"] <= sum(h["upper"] for h in halves)
+    ind = BoundaryFunction.arc_indicator(3.5, 4.5, period=4.0)
+    assert list(ind(np.array([3.4, 3.6, 0.2, 0.6]))) == [0.0, 1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("shape, lo, hi, match", [
+    (Shape.UNIT_DISK, math.nan, 1.0, "finite"),
+    (Shape.UNIT_DISK, 0.0, math.nan, "finite"),
+    (Shape.UNIT_DISK, -math.inf, 1.0, "finite"),
+    (Shape.UNIT_DISK, 0.0, math.inf, "finite"),
+    (Shape.UNIT_DISK, 0.0, 2 * math.pi, "period"),
+    (Shape.UNIT_DISK, -1.0, 2 * math.pi, "period"),
+    (Shape.UNIT_SQUARE, 0.0, 4.0, "period"),
+])
+def test_bad_arcs_are_rejected(shape, lo, hi, match):
+    # each returned an unsound bracket or failed in the solver: a NaN end
+    # gave [0, 0], an infinite one a NaN residual, and a whole-circle arc
+    # [0.923, 0.972] for a measure of 1
+    cfg = SolveConfig(domain=DiskDomain(shape, 1 / 16))
+    with pytest.raises(ValueError, match=match):
+        harmonic_measure_of_arc((0.5, 0.2), lo, hi, cfg)
+
+
+def test_unknown_ramp_side_is_rejected():
+    # any side but "lower" gave the upper ramp
+    with pytest.raises(ValueError, match="side"):
+        arc_ramp(0.0, 1.0, 4, side="Lower")
+
+
 # -- monotone data -----------------------------------------------------------------
 
 
@@ -160,8 +202,9 @@ def test_wos_deterministic_under_seed():
     )
     assert ix_eval((0.2, 0.3), g, cfg) == ix_eval((0.2, 0.3), g, cfg)
     # exact floats of the fixed-seed estimator: any change to the walk or
-    # to the order and size of its random draws shows here
-    assert ix_eval((0.2, 0.3), g, cfg) == (0.626388193992985, 0.004611143853207737)
+    # to the order and size of its random draws shows here.  The bits
+    # follow numpy's SIMD dispatch of tan, which may differ by CPU
+    assert ix_eval((0.2, 0.3), g, cfg) == (0.6263881939929851, 0.004611143853207737)
     square = SolveConfig(domain=DiskDomain(Shape.UNIT_SQUARE, 1 / 32),
                          solver=Solver.WALK_ON_SPHERES, seed=3, walks=20_000)
     assert ix_eval((0.3, 0.6), SQUARE_COS, square) == (0.13359147707429062,
@@ -177,7 +220,7 @@ def serial_wos_exits(dom, x, y, walks, seed):
     lx, ly = np.full(walks, float(x)), np.full(walks, float(y))
     for _ in range(10_000):
         if dom.shape is Shape.UNIT_DISK:
-            dist = 1.0 - np.hypot(lx, ly)
+            dist = 1.0 - np.sqrt(lx * lx + ly * ly)
         else:
             dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly))
         active = dist > 1e-6
@@ -186,9 +229,10 @@ def serial_wos_exits(dom, x, y, walks, seed):
         live, lx, ly, dist = live[active], lx[active], ly[active], dist[active]
         if live.size == 0:
             break
-        ang = rng.uniform(0.0, 2 * math.pi, size=live.size)
-        lx += dist * np.cos(ang)
-        ly += dist * np.sin(ang)
+        t = np.tan(rng.uniform(0.0, 2 * math.pi, size=live.size) / 2)
+        k = dist / (1 + t * t)  # (cos a, sin a) = (1 - t^2, 2t) / (1 + t^2)
+        lx += k * (1 - t * t)
+        ly += k * (2 * t)
     else:
         raise AssertionError("the reference walk did not terminate")
     if dom.shape is Shape.UNIT_DISK:
@@ -222,6 +266,52 @@ def test_wos_exits_do_not_depend_on_block_count(monkeypatch, blocks, inline):
             assert got.tobytes() == serial_wos_exits(dom, x, y, walks, seed).tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_wos_direction_matches_cos_and_sin():
+    # a unit step from the origin is the direction itself
+    alpha = np.concatenate([
+        np.random.default_rng(17).uniform(0.0, 2 * math.pi, 10**6),
+        [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, np.nextafter(2 * math.pi, 0.0)],
+    ])
+    c, s = np.zeros(alpha.size), np.zeros(alpha.size)
+    dmod._move(c, s, np.ones(alpha.size), alpha.copy())
+    assert np.max(np.abs(c - np.cos(alpha))) <= 4 * 2.0**-53
+    assert np.max(np.abs(s - np.sin(alpha))) <= 4 * 2.0**-53
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4 * np.spacing(1.0)
+
+
+def test_wos_stderr_covers_the_exact_value():
+    # u = r^2 cos 2(phi - 0.7) for g = cos 2(theta - 0.7); the stopping
+    # shell's O(1e-6) bias is far below the stderr of 4 000 walks
+    x = (0.45, -0.3)
+    g = BoundaryFunction(lambda s: np.cos(2 * (np.asarray(s) - 0.7)))
+    exact = math.hypot(*x) ** 2 * math.cos(2 * (math.atan2(x[1], x[0]) - 0.7))
+    z = []
+    for seed in range(200):
+        cfg = SolveConfig(solver=Solver.WALK_ON_SPHERES, seed=seed, walks=4_000)
+        value, stderr = ix_eval(x, g, cfg)
+        z.append((value - exact) / stderr)
+    z = np.array(z)
+    assert np.mean(np.abs(z) <= 2) >= 0.9
+    assert abs(np.mean(z)) <= 0.3
+
+
+def test_wos_memory_stays_within_eleven_and_a_half_arrays():
+    # the compaction of the first step holds the draws, the old and the new
+    # walker arrays and both exit arrays (about 11.1 arrays of ``walks``
+    # floats); scratch arrays of the step that outlive it would add to that
+    walks = 100_000
+    dom = DiskDomain(Shape.UNIT_DISK, 1 / 32)
+    # a first threaded call loads modules, whose objects tracemalloc would count
+    dmod._wos_exits(dom, 0.3, 0.2, walks, 1)
+    tracemalloc.start()
+    try:
+        dmod._wos_exits(dom, 0.3, 0.2, walks, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * 8 * walks
 
 
 def test_wos_threads_at_most_one_per_cpu(monkeypatch):
