@@ -20,6 +20,14 @@ found by galloping and bisection over k (level by level up to k = 32,
 where the nesting spot-check reaches), and its set is measured once,
 counted as often as the run is long.  Equal ring sets have equal
 measure, so the run sum is the level-by-level sum exactly.
+
+Two kinds of function skip the walk and sum their levels in closed form:
+a simple function (one built by ``from_simple``) counts the levels below
+each canonical value, under any premeasure; and x(t) = t on [a, b), built
+by ``identity_on``, under the length premeasure itself (recognized by
+identity, since ``length_premeasure()`` returns one instance), where
+mu(E_{k,n}) = b - max(a, k 2^-n) makes S_n an arithmetic series.  Under
+any other premeasure ``identity_on`` takes the walk.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from fractions import Fraction
 from .extreal import ExtReal, POS_INF
 from .functional import ElementaryIntegral, NonMonotoneSequence
 from .lattice import SimpleFunction, canonicalize, level_set
-from .rings import BooleanOp, RingSet, Universe, boolean_combine
+from .rings import BooleanOp, RingSet, Universe, boolean_combine, length_premeasure
 
 DEFAULT_LEVEL_DEPTH = 16
 DEFAULT_SEQ_DEPTH = 1000
@@ -50,14 +58,18 @@ class MonotoneSequence:
     """A lazily generated monotone sequence of integrands.
 
     ``generator`` maps n >= 1 to a function with an ``eval`` method.
-    Monotonicity is verified at the probe points as terms are produced;
-    a violation is a hard error.
+    Monotonicity is verified as terms are produced; a violation is a hard
+    error.  With ``probes``, consecutive terms are compared at those
+    points, which is a proof on a finite universe when they list every
+    label.  Without them, the terms' own exact order test decides:
+    ``x.first_excess(y)`` is a point where x > y, or None when x <= y
+    everywhere.
     """
 
-    def __init__(self, generator, direction: Direction, probes):
+    def __init__(self, generator, direction: Direction, probes=None):
         self.generator = generator
         self.direction = direction
-        self.probes = tuple(probes)
+        self.probes = None if probes is None else tuple(probes)
         self._cache = {}
 
     def term(self, n):
@@ -66,8 +78,11 @@ class MonotoneSequence:
         return self._cache[n]
 
     def check_monotone(self, depth):
-        """Compare terms 1..depth pairwise at every probe; each term is
-        evaluated once per probe."""
+        """Compare terms 1..depth pairwise: at every probe, each term
+        evaluated once per probe, or by the terms' exact order test."""
+        if self.probes is None:
+            self._check_exact(depth)
+            return
         prev = None
         for n in range(1, depth + 1):
             cur = [self.term(n).eval(t) for t in self.probes]
@@ -76,6 +91,18 @@ class MonotoneSequence:
                     bad = b < a if self.direction is Direction.INCREASING else b > a
                     if bad:
                         raise NonMonotoneSequence(n, t)
+            prev = cur
+
+    def _check_exact(self, depth):
+        prev = self.term(1)
+        for n in range(2, depth + 1):
+            cur = self.term(n)
+            if self.direction is Direction.INCREASING:
+                t = prev.first_excess(cur)
+            else:
+                t = cur.first_excess(prev)
+            if t is not None:
+                raise NonMonotoneSequence(n, t)
             prev = cur
 
 
@@ -140,15 +167,18 @@ class MeasurableFunction:
 
     ``level_set_oracle(k, n)`` returns the ring set {t : x(t) > k 2^-n}.
     ``support`` is a ring set containing {x > 0} whose measure bounds the
-    bracket width.
+    bracket width.  ``simple`` is x itself when x is simple, and
+    ``identity`` is (a, b) when x is t on [a, b) and 0 elsewhere; either
+    lets ``level_set_integral`` sum the levels in closed form.
     """
 
     def __init__(self, evaluator, level_set_oracle, support: RingSet,
-                 simple: SimpleFunction | None = None):
+                 simple: SimpleFunction | None = None, identity: tuple | None = None):
         self.evaluator = evaluator
         self._oracle = level_set_oracle
         self.support = support
         self.simple = simple
+        self.identity = identity
         self._checked = set()
         self._last = None  # ((k, n), E_{k,n}) of the last level asked for
 
@@ -206,6 +236,7 @@ class MeasurableFunction:
             evaluator=lambda t: Fraction(t) if a <= Fraction(t) < b else Fraction(0),
             level_set_oracle=oracle,
             support=supp,
+            identity=(a, b),
         )
 
     def meet_with_simple(self, phi: SimpleFunction) -> MeasurableFunction:
@@ -291,16 +322,22 @@ def level_set_integral(x: MeasurableFunction, i: ElementaryIntegral,
     when the sum is cut off at k = 2^(2n) with mass above it, and the
     value is +inf when a level set has infinite measure.
 
-    A simple x sums its canonical pieces in closed form.  Any other x is
-    summed over runs of equal level sets (``_level_runs``): a run of
-    count equal sets adds count * mu(E), which is exactly the sum of its
-    levels, since the sets are equal; the sum is cut off when the last
-    run reaches k = 2^(2n) with positive measure.
+    Two closed forms ask for no level set: a simple x (``x.simple``)
+    sums its canonical pieces under any premeasure, and an x from
+    ``identity_on`` (``x.identity``) sums an arithmetic series when the
+    premeasure is ``length_premeasure()`` itself.  Any other x, and
+    ``identity_on`` under any other premeasure, is summed over runs of
+    equal level sets (``_level_runs``): a run of count equal sets adds
+    count * mu(E), which is exactly the sum of its levels, since the sets
+    are equal; the sum is cut off when the last run reaches k = 2^(2n)
+    with positive measure.  All three give the level-by-level sum exactly.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if x.simple is not None:
         level_sum = _simple_level_sum(x.simple, i, n_max)
+    elif x.identity is not None and i.mu is length_premeasure():
+        level_sum = _identity_level_sum(*x.identity, n_max)
     else:
         level_sum = _generic_level_sum(x, i, n_max)
     if level_sum is None:
@@ -360,6 +397,24 @@ def _simple_level_sum(xc: SimpleFunction, i: ElementaryIntegral, n: int):
         truncated = truncated or (count > cap and m.value > 0)
         total += min(count, cap) * m.value
     return total, truncated
+
+
+def _identity_level_sum(a: Fraction, b: Fraction, n: int):
+    """(sum_k mu(E_{k,n}), truncated) for x(t) = t on [a, b) under length,
+    in closed form.
+
+    E_{k,n} = [max(a, k 2^-n), b) is nonempty for k < b 2^n, so the levels
+    k = 1..K count, K = min(ceil(b 2^n) - 1, 4^n).  The first
+    J = min(floor(a 2^n), K) of them are all of [a, b), and levels J+1..K
+    add sum_k (b - k 2^-n), an arithmetic series.  ``truncated`` says
+    that the top level E_{4^n,n} is nonempty, hence of positive length.
+    """
+    scale = 2**n
+    nonempty = -(-b.numerator * scale // b.denominator) - 1  # ceil(b 2^n) - 1
+    k = min(nonempty, 4**n)
+    j = min(a.numerator * scale // a.denominator, k)
+    total = j * (b - a) + (k - j) * b - Fraction(k * (k + 1) - j * (j + 1), 2 * scale)
+    return total, nonempty >= 4**n
 
 
 def indicator_measurable(e: RingSet) -> MeasurableFunction:

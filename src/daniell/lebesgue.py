@@ -3,7 +3,10 @@
 The base lattice here is compactly supported piecewise-linear functions
 with rational breakpoints; the trapezoid rule is their exact Riemann
 integral, and the ramp sequence climbing to an interval indicator drives
-the limit that recovers b - a.
+the limit that recovers b - a.  Two such functions are linear between the
+union of their breakpoints and zero outside it, so comparing them there
+decides their order exactly (``PiecewiseLinear.first_excess``); the ramp
+limit checks its monotonicity that way, with no sample points.
 """
 
 from __future__ import annotations
@@ -47,15 +50,45 @@ class PiecewiseLinear:
     def eval(self, t) -> ExtReal:
         if type(t) is not Fraction:
             t = Fraction(t)
-        xs = self.xs
-        if not xs or t <= xs[0] or t >= xs[-1]:
-            return ExtReal(0)
-        i = bisect_left(xs, t)  # xs[i - 1] < t <= xs[i]
-        y0, y1 = self.ys[i - 1], self.ys[i]
-        if y0 == y1:  # a flat piece, such as a ramp's plateau
-            return ExtReal(y0)
-        x0 = xs[i - 1]
-        return ExtReal(y0 + (y1 - y0) * (t - x0) / (xs[i] - x0))
+        return ExtReal(_value(self.xs, self.ys, bisect_left(self.xs, t), t))
+
+    def first_excess(self, other: PiecewiseLinear):
+        """The least breakpoint t of self or other with self(t) > other(t),
+        or None when self <= other everywhere.
+
+        Both functions are linear between their merged breakpoints and 0
+        outside them, so the comparison there is exact.  One merge walk
+        over the two sorted lists does it, interpolating each function
+        only at the other's breakpoints.
+        """
+        fx, fy, gx, gy = self.xs, self.ys, other.xs, other.ys
+        i = j = 0
+        while i < len(fx) or j < len(gx):
+            if j == len(gx) or (i < len(fx) and fx[i] < gx[j]):
+                t, f, g = fx[i], fy[i], _value(gx, gy, j, fx[i])
+                i += 1
+            elif i == len(fx) or gx[j] < fx[i]:
+                t, f, g = gx[j], _value(fx, fy, i, gx[j]), gy[j]
+                j += 1
+            else:
+                t, f, g = fx[i], fy[i], gy[j]
+                i += 1
+                j += 1
+            if f > g:
+                return t
+        return None
+
+
+def _value(xs, ys, i, t):
+    """The function with breakpoints xs and values ys at t, where
+    xs[i - 1] < t <= xs[i]; 0 when i is 0 or len(xs), outside the support."""
+    if i == 0 or i == len(xs):
+        return 0
+    y0, y1 = ys[i - 1], ys[i]
+    if y0 == y1:  # a flat piece, such as a ramp's plateau
+        return y0
+    x0 = xs[i - 1]
+    return y0 + (y1 - y0) * (t - x0) / (xs[i] - x0)
 
 
 def riemann_integral(f: PiecewiseLinear) -> Fraction:
@@ -138,26 +171,18 @@ def _trim(pts, ys) -> PiecewiseLinear:
     return PiecewiseLinear.of(pts, ys)
 
 
-def ramp_probe_points(a, b):
-    """17 evenly spaced points of [a, b], ends included."""
-    a, b = Fraction(a), Fraction(b)
-    return [a + Fraction(i, 16) * (b - a) for i in range(17)]
-
-
 def interval_length_via_daniell(a, b, n_max=100) -> IntegralResult:
     """Recover b - a as the limit of ramp integrals, with an exact bracket.
 
     The tail bound (b-a)/(2n) comes from the closed form of the ramp
-    integrals, so the bracket always contains b - a.
+    integrals, so the bracket always contains b - a.  Each ramp is
+    checked against the next by the exact order of piecewise-linear
+    functions.
     """
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError("need a < b")
-    seq = MonotoneSequence(
-        lambda n: ramp_sequence(a, b, n),
-        Direction.INCREASING,
-        probes=ramp_probe_points(a, b),
-    )
+    seq = MonotoneSequence(lambda n: ramp_sequence(a, b, n), Direction.INCREASING)
     return i1_limit(
         riemann_integral,
         seq,

@@ -256,9 +256,16 @@ def _length(e: RingSet) -> Fraction:
     return sum(lengths[1:], lengths[0]) if lengths else Fraction(0)
 
 
+_LENGTH = PreMeasure(_REAL_LINE, _length, name="length")
+
+
 def length_premeasure() -> PreMeasure:
-    """Interval length Sum(b_i - a_i) on the real-line ring."""
-    return PreMeasure(Universe.real_line(), _length, name="length")
+    """Interval length Sum(b_i - a_i) on the real-line ring.
+
+    Every call returns the same instance, so a shortcut that holds for
+    length alone can recognize it by identity.
+    """
+    return _LENGTH
 
 
 def weighted_counting_premeasure(universe: Universe, weights=None, name=None) -> PreMeasure:

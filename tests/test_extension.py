@@ -203,7 +203,12 @@ def test_run_sum_matches_the_level_by_level_sum():
             a = Fraction(rng.randint(0, 24), rng.randint(1, 8))
             b = a + Fraction(rng.randint(1, 24), rng.randint(1, 8))
             x = MeasurableFunction.identity_on(a, b)
-            assert level_set_integral(x, LENGTH, n_max=n).to_json() == plain_level_sum(x, LENGTH, n)
+            expected = plain_level_sum(x, LENGTH, n)
+            assert level_set_integral(x, LENGTH, n_max=n).to_json() == expected
+            # the same function as a bare oracle takes the walk, over runs
+            # of length one: every nonempty level differs from the next
+            y = MeasurableFunction(x.evaluator, x.level_set, x.support)
+            assert level_set_integral(y, LENGTH, n_max=n).to_json() == expected
     for n in range(1, 6):
         for _ in range(4):
             pieces = random_step_pieces(rng, rng.randint(1, 6))
@@ -259,6 +264,53 @@ def test_run_walk_asks_for_few_level_sets(monkeypatch):
             assert len(asked) <= d * (4 * n + 2) + NEST_CHECK_TOP
             if n == 6:  # one call per nonempty level would be hundreds
                 assert len(asked) < len(levels) // 2
+
+
+def count_level_sets(monkeypatch):
+    """Patch a counter onto MeasurableFunction.level_set; returns the list
+    of levels asked for."""
+    asked = []
+    original = MeasurableFunction.level_set
+
+    def counted(self, k, n):
+        asked.append(k)
+        return original(self, k, n)
+
+    monkeypatch.setattr(MeasurableFunction, "level_set", counted)
+    return asked
+
+
+# (a, b, n): a below, inside and above the first level; b past 2^n truncates
+IDENTITY_CASES = [(0, 1, 1), (0, 1, 6), (Fraction(1, 3), Fraction(7, 5), 5),
+                  (Fraction(5, 2), 3, 3), (1, 9, 3), (Fraction(1, 8), 4, 2)]
+
+
+def test_identity_under_length_asks_for_no_level_set(monkeypatch):
+    expected = [plain_level_sum(MeasurableFunction.identity_on(a, b), LENGTH, n)
+                for a, b, n in IDENTITY_CASES]
+    asked = count_level_sets(monkeypatch)
+    got = [level_set_integral(MeasurableFunction.identity_on(a, b), LENGTH, n_max=n).to_json()
+           for a, b, n in IDENTITY_CASES]
+    assert asked == []
+    assert got == expected
+
+
+def test_identity_under_another_premeasure_takes_the_walk(monkeypatch):
+    # twice the length, under the same name: only the length instance
+    # itself selects the closed form
+    double = ElementaryIntegral(PreMeasure(LINE, lambda e: 2 * LENGTH.mu(e).value,
+                                           name="length"))
+    for a, b, n in IDENTITY_CASES:
+        x = MeasurableFunction.identity_on(a, b)
+        once = level_set_integral(x, LENGTH, n_max=n)
+        asked = count_level_sets(monkeypatch)
+        twice = level_set_integral(x, double, n_max=n)
+        monkeypatch.undo()
+        assert asked
+        assert twice.value == once.value + once.value
+        assert twice.lower == once.lower + once.lower
+        assert twice.upper == once.upper + once.upper
+        assert twice.converged == once.converged
 
 
 @pytest.mark.parametrize("broken", [3, 17, NEST_CHECK_TOP])

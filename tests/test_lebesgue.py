@@ -5,19 +5,21 @@ form, the recovered length and the piecewise-linear lattice operations
 on fuzzed inputs are records of ``daniell.verify.lebesgue_suite``.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from daniell.extension import Direction, MonotoneSequence, i1_limit
 from daniell.extreal import ExtReal
+from daniell.functional import NonMonotoneSequence
 from daniell.lattice import LatticeOp
 from daniell.lebesgue import (
     PiecewiseLinear,
     interval_length_via_daniell,
     pl_lattice_op,
-    ramp_probe_points,
     ramp_sequence,
     riemann_integral,
 )
@@ -35,20 +37,78 @@ rational_w = st.fractions(
 def test_ramp_shape(a, w, n):
     b = a + w
     f = ramp_sequence(a, b, n)
-    # supported inside [a, b], peak value 1, increasing in n pointwise
+    # supported inside [a, b], values in [0, 1] with peak 1, increasing in n
     assert f.eval(a) == ExtReal(0)
     assert f.eval(b) == ExtReal(0)
-    assert max(f.ys) == 1
+    assert max(f.ys) == 1 and min(f.ys) == 0
     g = ramp_sequence(a, b, n + 1)
-    for t in ramp_probe_points(a, b):
-        assert f.eval(t) <= g.eval(t)
-        assert ExtReal(0) <= f.eval(t) <= ExtReal(1)
+    assert f.first_excess(g) is None
+    # the steeper ramp first rises above the other at its own corner
+    assert g.first_excess(f) == a + (b - a) / (2 * n + 2)
 
 
 def test_ramp_n1_is_triangle():
     f = ramp_sequence(0, 1, 1)
     assert f.eval(Fraction(1, 2)) == ExtReal(1)
     assert riemann_integral(f) == Fraction(1, 2)
+
+
+# -- the exact order ------------------------------------------------------------
+
+
+def random_pl(rng, zero_ok=True):
+    if zero_ok and rng.random() < 0.1:
+        return PiecewiseLinear.zero()
+    xs = sorted(rng.sample(range(-12, 13), rng.randint(2, 7)))
+    ys = [0] + [Fraction(rng.randint(-4, 8), rng.randint(1, 3)) for _ in xs[2:]] + [0]
+    return PiecewiseLinear.of([Fraction(x, 2) for x in xs], ys)
+
+
+def test_first_excess_matches_a_dense_probe_grid():
+    # reference: evaluate both functions (by bisection) at every breakpoint,
+    # midpoint and quarter point of the merged breakpoints and beyond them
+    rng = random.Random(18)
+    pairs = [(random_pl(rng), random_pl(rng)) for _ in range(300)]
+    # shared breakpoints, and a pair equal everywhere
+    f = random_pl(rng, zero_ok=False)
+    pairs += [(f, f), (f, pl_lattice_op(LatticeOp.SCALE, f, c=2)),
+              (pl_lattice_op(LatticeOp.SCALE, f, c=2), f)]
+    for f, g in pairs:
+        ends = sorted(set(f.xs) | set(g.xs))
+        if not ends:
+            assert f.first_excess(g) is None
+            continue
+        grid = [ends[0] - 1, ends[-1] + 1, *ends]
+        grid += [(3 * a + b) / 4 for a, b in zip(ends, ends[1:])]
+        grid += [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        above = [t for t in grid if f.eval(t) > g.eval(t)]
+        witness = f.first_excess(g)
+        if not above:
+            assert witness is None
+        else:
+            assert witness == min(t for t in ends if f.eval(t) > g.eval(t))
+
+
+def notched_ramps(n):
+    """ramp_sequence(0, 1, n), with a notch down to 0 of half-width 1/1000
+    at 1/32 + 1/1000 on the plateau for even n >= 20."""
+    f = ramp_sequence(0, 1, n)
+    if n % 2 or n < 20:
+        return f
+    c, h = Fraction(1, 32) + Fraction(1, 1000), Fraction(1, 1000)
+    xs = (*f.xs[:2], c - h, c, c + h, *f.xs[2:])
+    return PiecewiseLinear.of(xs, (0, 1, 1, 0, 1, 1, 0))
+
+
+def test_notch_between_sample_points_is_caught():
+    # the notch lies between 0 and 1/16, the first two of 17 evenly spaced
+    # sample points; comparing there let i1_limit return [0.994, 0.999]
+    seq = MonotoneSequence(notched_ramps, Direction.INCREASING)
+    with pytest.raises(NonMonotoneSequence) as caught:
+        i1_limit(riemann_integral, seq, depth=100,
+                 tail_bound=lambda n: Fraction(1, 2 * n))
+    assert caught.value.index == 20
+    assert caught.value.probe == Fraction(1, 32) + Fraction(1, 1000)  # the notch bottom
 
 
 # -- the (=b−a) recovery --------------------------------------------------------
