@@ -1,9 +1,11 @@
 """The extension engine: monotone limits, dyadic level-set integration,
 measure extraction, measurability probes, and simple-function approximation.
 
-Values produced here come with certified brackets.  The dyadic scheme
-integrates a nonnegative function x through its level sets
-E_{k,n} = {t : x(t) > k 2^-n}: the partial sum
+Values produced here come with certified brackets.  A monotone limit
+proves its terms monotone by their exact order test (``first_excess``),
+with no sample points.  The dyadic scheme integrates a nonnegative
+function x through its level sets E_{k,n} = {t : x(t) > k 2^-n}: the
+partial sum
 
     S_n = 2^-n * sum_{k=1}^{2^(2n)} mu(E_{k,n})
 
@@ -57,19 +59,16 @@ class Direction(Enum):
 class MonotoneSequence:
     """A lazily generated monotone sequence of integrands.
 
-    ``generator`` maps n >= 1 to a function with an ``eval`` method.
-    Monotonicity is verified as terms are produced; a violation is a hard
-    error.  With ``probes``, consecutive terms are compared at those
-    points, which is a proof on a finite universe when they list every
-    label.  Without them, the terms' own exact order test decides:
+    ``generator`` maps n >= 1 to a term with an exact order test:
     ``x.first_excess(y)`` is a point where x > y, or None when x <= y
-    everywhere.
+    everywhere.  ``SimpleFunction`` (ring-set indicators included) and
+    ``PiecewiseLinear`` have one, so monotonicity is proved, not sampled;
+    a violation is a hard error.
     """
 
-    def __init__(self, generator, direction: Direction, probes=None):
+    def __init__(self, generator, direction: Direction):
         self.generator = generator
         self.direction = direction
-        self.probes = None if probes is None else tuple(probes)
         self._cache = {}
 
     def term(self, n):
@@ -78,22 +77,7 @@ class MonotoneSequence:
         return self._cache[n]
 
     def check_monotone(self, depth):
-        """Compare terms 1..depth pairwise: at every probe, each term
-        evaluated once per probe, or by the terms' exact order test."""
-        if self.probes is None:
-            self._check_exact(depth)
-            return
-        prev = None
-        for n in range(1, depth + 1):
-            cur = [self.term(n).eval(t) for t in self.probes]
-            if prev is not None:
-                for t, a, b in zip(self.probes, prev, cur):
-                    bad = b < a if self.direction is Direction.INCREASING else b > a
-                    if bad:
-                        raise NonMonotoneSequence(n, t)
-            prev = cur
-
-    def _check_exact(self, depth):
+        """Compare terms 1..depth pairwise by the terms' exact order test."""
         prev = self.term(1)
         for n in range(2, depth + 1):
             cur = self.term(n)

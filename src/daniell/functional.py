@@ -165,7 +165,7 @@ def jordan_decompose(s: SignedFunctional) -> DecomposedFunctional:
 
 
 class NonMonotoneSequence(ValueError):
-    def __init__(self, index, probe):
-        super().__init__(f"sequence not monotone at n={index}, t={probe!r}")
+    def __init__(self, index, witness):
+        super().__init__(f"sequence not monotone at n={index}, t={witness!r}")
         self.index = index
-        self.probe = probe
+        self.witness = witness

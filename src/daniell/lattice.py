@@ -5,7 +5,9 @@ indicators.  Its canonical form splits the union of the nonempty term
 sets into membership classes: each piece is the set of points that lie
 in exactly the same subset of those sets, with the sum of their
 coefficients as its value.  Zero pieces are dropped and the rest sorted
-by their sets, so the form does not depend on how it is computed.
+by their sets, so on the line and on a finite universe the form does not
+depend on how it is computed.  Cylinder families have no canonical form,
+so on path space the pieces keep the order refinement finds them in.
 
 On the real line one sweep over the sorted interval endpoints finds the
 classes, and on a finite universe one pass over the labels.  Path space
@@ -81,6 +83,16 @@ class SimpleFunction:
 
     def scale(self, c) -> SimpleFunction:
         return lattice_op(LatticeOp.SCALE, self, c=c)
+
+    def first_excess(self, other: SimpleFunction):
+        """A point where self > other, or None when self <= other everywhere:
+        the witness point of the first common atom, in the canonical order
+        of sets, on which self's value exceeds other's.  On the line and on
+        a finite universe that is the least such point."""
+        if self.universe != other.universe:
+            raise UniverseMismatch("order test across universes")
+        above = [s for (vx, vy), s in _common_atoms(self, other) if vx > vy]
+        return min(above, key=_set_sort_key).witness_point() if above else None
 
     def to_json(self):
         return {

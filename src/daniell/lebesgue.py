@@ -4,9 +4,11 @@ The base lattice here is compactly supported piecewise-linear functions
 with rational breakpoints; the trapezoid rule is their exact Riemann
 integral, and the ramp sequence climbing to an interval indicator drives
 the limit that recovers b - a.  Two such functions are linear between the
-union of their breakpoints and zero outside it, so comparing them there
-decides their order exactly (``PiecewiseLinear.first_excess``); the ramp
-limit checks its monotonicity that way, with no sample points.
+union of their breakpoints and zero outside it.  One merge walk over the
+two breakpoint lists (``_merged``) therefore decides their order exactly
+(``PiecewiseLinear.first_excess``, which the ramp limit's monotonicity
+check asks) and builds their sum, meet, join and absolute value
+(``pl_lattice_op``).
 """
 
 from __future__ import annotations
@@ -57,26 +59,28 @@ class PiecewiseLinear:
         or None when self <= other everywhere.
 
         Both functions are linear between their merged breakpoints and 0
-        outside them, so the comparison there is exact.  One merge walk
-        over the two sorted lists does it, interpolating each function
-        only at the other's breakpoints.
+        outside them, so the comparison there is exact.
         """
-        fx, fy, gx, gy = self.xs, self.ys, other.xs, other.ys
-        i = j = 0
-        while i < len(fx) or j < len(gx):
-            if j == len(gx) or (i < len(fx) and fx[i] < gx[j]):
-                t, f, g = fx[i], fy[i], _value(gx, gy, j, fx[i])
-                i += 1
-            elif i == len(fx) or gx[j] < fx[i]:
-                t, f, g = gx[j], _value(fx, fy, i, gx[j]), gy[j]
-                j += 1
-            else:
-                t, f, g = fx[i], fy[i], gy[j]
-                i += 1
-                j += 1
-            if f > g:
-                return t
-        return None
+        return next((t for t, f, g in _merged(self, other) if f > g), None)
+
+
+def _merged(f: PiecewiseLinear, g: PiecewiseLinear):
+    """(t, f(t), g(t)) at every breakpoint t of f or g, in increasing order:
+    one merge walk over the two sorted lists, interpolating each function
+    only at the other's breakpoints."""
+    fx, fy, gx, gy = f.xs, f.ys, g.xs, g.ys
+    i = j = 0
+    while i < len(fx) or j < len(gx):
+        if j == len(gx) or (i < len(fx) and fx[i] < gx[j]):
+            yield fx[i], fy[i], _value(gx, gy, j, fx[i])
+            i += 1
+        elif i == len(fx) or gx[j] < fx[i]:
+            yield gx[j], _value(fx, fy, i, gx[j]), gy[j]
+            j += 1
+        else:
+            yield fx[i], fy[i], gy[j]
+            i += 1
+            j += 1
 
 
 def _value(xs, ys, i, t):
@@ -107,31 +111,26 @@ def ramp_sequence(a, b, n: int) -> PiecewiseLinear:
         raise ValueError("need a < b")
     if n < 1:
         raise ValueError("need n >= 1")
+    # a < b orders the breakpoints, so the ramp skips PiecewiseLinear.of
     w = Fraction(b - a, 2 * n)
+    zero, one = Fraction(0), Fraction(1)
     if n == 1:  # plateau degenerates to the midpoint: a triangle
-        return PiecewiseLinear.of((a, a + w, b), (0, 1, 0))
-    return PiecewiseLinear.of((a, a + w, b - w, b), (0, 1, 1, 0))
+        return PiecewiseLinear((a, a + w, b), (zero, one, zero))
+    return PiecewiseLinear((a, a + w, b - w, b), (zero, one, one, zero))
 
 
-def _crossings(f: PiecewiseLinear, g: PiecewiseLinear):
-    """Rational points where f - g changes sign between shared breakpoints."""
-    pts = sorted(set(f.xs) | set(g.xs))
-    out = []
-    for x0, x1 in zip(pts, pts[1:]):
-        d0 = f.eval(x0).value - g.eval(x0).value
-        d1 = f.eval(x1).value - g.eval(x1).value
-        if d0 * d1 < 0:
-            out.append(x0 + (x1 - x0) * d0 / (d0 - d1))
-    return out
+_PL_VALUE = {LatticeOp.PLUS: lambda f, g: f + g, LatticeOp.MEET: min,
+             LatticeOp.JOIN: max, LatticeOp.ABS: lambda f, _: abs(f)}
 
 
 def pl_lattice_op(op: LatticeOp, f: PiecewiseLinear,
                   g: PiecewiseLinear | None = None, c=None) -> PiecewiseLinear:
     """Pointwise Plus/Scale/Meet/Join/Abs on piecewise-linear functions.
 
-    The result's breakpoints are the union of the inputs' plus any
-    crossing points (Abs crosses against zero), so it is again exactly
-    piecewise linear.
+    One walk over the merged breakpoints of f and g (Abs takes g = 0)
+    gives the result's breakpoints and values.  Meet, Join and Abs add a
+    breakpoint wherever f - g changes sign between two of them, so the
+    result is again exactly piecewise linear.
     """
     if op is LatticeOp.SCALE:
         if c is None:
@@ -142,24 +141,27 @@ def pl_lattice_op(op: LatticeOp, f: PiecewiseLinear,
         return PiecewiseLinear.of(f.xs, tuple(c * y for y in f.ys))
     if op is LatticeOp.ABS:
         g = PiecewiseLinear.zero()
-        pts = sorted(set(f.xs) | set(_crossings(f, g)))
-        ys = tuple(abs(f.eval(t).value) for t in pts)
-        return _trim(pts, ys)
-    if g is None:
+    elif g is None:
         raise ValueError(f"{op.value} needs a second argument")
-    if op is LatticeOp.PLUS:
-        pts = sorted(set(f.xs) | set(g.xs))
-        ys = tuple(f.eval(t).value + g.eval(t).value for t in pts)
-        return _trim(pts, ys)
-    pts = sorted(set(f.xs) | set(g.xs) | set(_crossings(f, g)))
-    fn = min if op is LatticeOp.MEET else max
-    ys = tuple(fn(f.eval(t).value, g.eval(t).value) for t in pts)
+    value = _PL_VALUE[op]
+    crossings = op is not LatticeOp.PLUS
+    pts, ys = [], []
+    f0 = d0 = 0
+    for t, fv, gv in _merged(f, g):
+        d1 = fv - gv
+        if crossings and d0 * d1 < 0:  # f - g crosses 0, where f = g (Abs: f = 0)
+            s = d0 / (d0 - d1)
+            pts.append(pts[-1] + (t - pts[-1]) * s)
+            ys.append(f0 + (fv - f0) * s)
+        pts.append(t)
+        ys.append(value(fv, gv))
+        f0, d0 = fv, d1
     return _trim(pts, ys)
 
 
 def _trim(pts, ys) -> PiecewiseLinear:
-    """Drop leading/trailing zero stretches so boundary values are zero."""
-    pts, ys = list(pts), list(ys)
+    """Drop leading/trailing zero stretches so boundary values are zero;
+    pts and ys are lists, shortened in place."""
     while len(pts) > 1 and ys[0] == 0 and ys[1] == 0:
         pts.pop(0)
         ys.pop(0)

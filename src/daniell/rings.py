@@ -146,11 +146,15 @@ class RingSet:
         return boolean_combine(BooleanOp.DIFFERENCE, self, other).is_empty
 
     def witness_point(self):
-        """Some point of the set, or None if empty."""
+        """Some point of the set, or None if empty: the least label or left
+        end.  A path-space set has no point to name, so there it is the
+        set's first cylinder."""
         if self.points:
             return self.points[0]
         if self.intervals:
             return self.intervals[0][0]
+        if self.cylinders:
+            return self.cylinders[0]
         return None
 
     # -- serialization ---------------------------------------------------

@@ -152,6 +152,15 @@ def rings_suite(quick=False):
 # -- lattice ----------------------------------------------------------------
 
 
+def _line_points(*fns):
+    """The endpoints of the functions' intervals, their midpoints and one
+    point beyond each end: simple functions on the line are constant
+    between consecutive endpoints, so comparing them there is exact."""
+    ends = sorted({e for f in fns for _, s in f.terms
+                   for iv in s.intervals for e in iv}) or [Fraction(0)]
+    return [ends[0] - 1, ends[-1] + 1, *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))]
+
+
 def lattice_suite(quick=False):
     rng = random.Random(1)
     out = []
@@ -180,13 +189,7 @@ def lattice_suite(quick=False):
         lhs = join(x, y)
         rhs = (x + y + absolute(x - y)).scale(Fraction(1, 2))
         low = meet(x, y)
-        # simple functions are constant between consecutive endpoints, so
-        # the endpoints, the midpoints and one point outside are exact probes
-        ends = sorted({e for f in (x, y) for _, s in f.terms
-                       for iv in s.intervals for e in iv}) or [Fraction(0)]
-        probes = [ends[0] - 1, ends[-1] + 1, *ends,
-                  *((a + b) / 2 for a, b in zip(ends, ends[1:]))]
-        for t in probes:
+        for t in _line_points(x, y):
             xv, yv = x.eval(t), y.eval(t)
             if not lhs.eval(t) == rhs.eval(t) == max(xv, yv):
                 ok = False
@@ -207,6 +210,28 @@ def lattice_suite(quick=False):
         if ext_add(a, b) != ext_add(b, a) or ext_add(a, ExtReal(0)) != a:
             ok = False
     out.append(_record("lattice.ext_add_convention", ok))
+
+    # the exact order test against pointwise comparison; full size only,
+    # so the quick suite's output stays as it was
+    if not quick:
+        ok = True
+        for universe in (u, line):
+            for _ in range(150):
+                x = random_simple_function(rng, universe)
+                y = random_simple_function(rng, universe)
+                lo, hi = meet(x, y), join(x, y)
+                points = labels if universe is u else _line_points(x, y)
+                xv = [x.eval(t) for t in points]
+                yv = [y.eval(t) for t in points]
+                lov, hiv = list(map(min, xv, yv)), list(map(max, xv, yv))
+                # the pair both ways, an equal pair, and lo <= hi, which
+                # fails the other way round unless x = y
+                for f, g, fv, gv in ((x, y, xv, yv), (y, x, yv, xv), (x, x, xv, xv),
+                                     (lo, hi, lov, hiv), (hi, lo, hiv, lov)):
+                    above = [t for t, a, b in zip(points, fv, gv) if a > b]
+                    if f.first_excess(g) != min(above, default=None):
+                        ok = False
+        out.append(_record("lattice.first_excess_is_least_pointwise_excess", ok))
     return out
 
 

@@ -186,7 +186,6 @@ def test_criterion_4():
         seq = MonotoneSequence(
             lambda n, x=x, k=k: x.scale(min(Fraction(n, k), Fraction(1))),
             Direction.INCREASING,
-            probes=list(u.labels),
         )
         res = i1_limit(i.integrate, seq, depth=8)
         assert res.value == ExtReal(i.integrate(x))  # exact equality

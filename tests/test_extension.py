@@ -351,7 +351,7 @@ def test_monotone_convergence_stabilizing():
     values = {"a": Fraction(2), "b": Fraction(5, 2)}
     u, full, gen = stabilizing_sequence(values)
     i = ElementaryIntegral(weighted_counting_premeasure(u))
-    seq = MonotoneSequence(gen, Direction.INCREASING, probes=list(values))
+    seq = MonotoneSequence(gen, Direction.INCREASING)
     res = i1_limit(i.integrate, seq, depth=10)
     assert res.value == ExtReal(i.integrate(full))
     # a Cauchy test alone certifies nothing: no upper bound, not converged
@@ -371,7 +371,7 @@ def test_uncertified_limit_has_no_upper_bound():
     i = ElementaryIntegral(weighted_counting_premeasure(u))
     chi = SimpleFunction.indicator(RingSet.finite(u, ("a",)))
     seq = MonotoneSequence(lambda n: chi.scale(1 - Fraction(1, n.bit_length() + 1)),
-                           Direction.INCREASING, ["a"])
+                           Direction.INCREASING)
     res = i1_limit(i.integrate, seq)
     assert res.lower == res.value == ExtReal(Fraction(10, 11))
     assert res.upper == POS_INF and not res.converged
@@ -385,11 +385,7 @@ def test_decreasing_to_zero_integrals_vanish():
     values = {"a": Fraction(1), "b": Fraction(3)}
     u, full, gen = stabilizing_sequence(values)
     i = ElementaryIntegral(weighted_counting_premeasure(u))
-    seq = MonotoneSequence(
-        lambda n: full.scale(Fraction(1, 2**n)),
-        Direction.DECREASING,
-        probes=list(values),
-    )
+    seq = MonotoneSequence(lambda n: full.scale(Fraction(1, 2**n)), Direction.DECREASING)
     seq.check_monotone(12)
     vals = [i.integrate(seq.term(n)) for n in range(1, 13)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -406,16 +402,36 @@ def test_non_monotone_sequence_rejected():
     def bad(n):
         return full if n % 2 == 0 else SimpleFunction.zero(u)
 
-    seq = MonotoneSequence(bad, Direction.INCREASING, probes=["a"])
+    seq = MonotoneSequence(bad, Direction.INCREASING)
     with pytest.raises(NonMonotoneSequence):
         seq.check_monotone(4)
+
+
+def test_gap_in_a_line_indicator_is_caught():
+    # chi[0, 1 - 2^-n) increases, except that term 20 leaves out
+    # [1/3, 1/3 + 10^-6), far narrower than any sampling grid would see
+    third, gap = Fraction(1, 3), Fraction(1, 10**6)
+
+    def term(n):
+        top = 1 - Fraction(1, 2**n)
+        if n == 20:
+            return SimpleFunction.indicator(
+                RingSet.from_intervals([(0, third), (third + gap, top)]))
+        return SimpleFunction.indicator(RingSet.interval(0, top))
+
+    seq = MonotoneSequence(term, Direction.INCREASING)
+    seq.check_monotone(19)
+    with pytest.raises(NonMonotoneSequence) as caught:
+        i1_limit(LENGTH.integrate, seq, depth=40)
+    assert caught.value.index == 20
+    assert caught.value.witness == third
 
 
 def test_divergent_sequence_reports_infinity():
     u = Universe.finite(("a",))
     i = ElementaryIntegral(weighted_counting_premeasure(u))
     chi = SimpleFunction.indicator(RingSet.finite(u, ("a",)))
-    seq = MonotoneSequence(lambda n: chi.scale(2**n), Direction.INCREASING, ["a"])
+    seq = MonotoneSequence(lambda n: chi.scale(2**n), Direction.INCREASING)
     res = i1_limit(i.integrate, seq, depth=200)
     assert res.value == POS_INF
 
@@ -425,7 +441,7 @@ def test_depth_zero_limit_raises():
     u = Universe.finite(("a",))
     i = ElementaryIntegral(weighted_counting_premeasure(u))
     chi = SimpleFunction.indicator(RingSet.finite(u, ("a",)))
-    seq = MonotoneSequence(lambda n: chi, Direction.INCREASING, ["a"])
+    seq = MonotoneSequence(lambda n: chi, Direction.INCREASING)
     with pytest.raises(ValueError, match="depth"):
         i1_limit(i.integrate, seq, depth=0)
 
@@ -434,9 +450,7 @@ def test_tail_bound_certifies_bracket():
     u = Universe.finite(("a",))
     i = ElementaryIntegral(weighted_counting_premeasure(u))
     chi = SimpleFunction.indicator(RingSet.finite(u, ("a",)))
-    seq = MonotoneSequence(
-        lambda n: chi.scale(1 - Fraction(1, n + 1)), Direction.INCREASING, ["a"]
-    )
+    seq = MonotoneSequence(lambda n: chi.scale(1 - Fraction(1, n + 1)), Direction.INCREASING)
     res = i1_limit(
         i.integrate, seq, depth=50, tail_bound=lambda n: Fraction(1, n + 1)
     )

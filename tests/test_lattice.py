@@ -6,6 +6,7 @@ functions are piecewise constant, so probing every constancy region is
 an exact check, not an approximation.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -315,3 +316,16 @@ def test_path_space_canonicalizes_by_refinement():
         assert xc.eval(path) == x.eval(path)
         assert sum(s.contains(path) for _, s in xc.terms) <= 1
         assert level_set(x, 1).contains(path) == (x.eval(path) > ExtReal(1))
+
+
+def test_path_space_order_test_names_a_cylinder():
+    # chi_A <= chi_B fails on {W_1 >= 1}; were no witness named there, the
+    # order test would pass it
+    a = RingSet.path_space([wiener.Cylinder.of([1], [[(0, math.inf)]])])
+    b = RingSet.path_space([wiener.Cylinder.of([1], [[(-1, 1)]])])
+    chi_a, chi_b = SimpleFunction.indicator(a), SimpleFunction.indicator(b)
+    assert chi_a.first_excess(chi_b) == wiener.Cylinder.of([1], [[(1, math.inf)]])
+    assert chi_b.first_excess(chi_a) == wiener.Cylinder.of([1], [[(-1, 0)]])
+    both = SimpleFunction.indicator(boolean_combine(BooleanOp.INTERSECT, a, b))
+    assert both.first_excess(chi_a) is None
+    assert chi_a.first_excess(chi_a) is None

@@ -108,7 +108,7 @@ def test_notch_between_sample_points_is_caught():
         i1_limit(riemann_integral, seq, depth=100,
                  tail_bound=lambda n: Fraction(1, 2 * n))
     assert caught.value.index == 20
-    assert caught.value.probe == Fraction(1, 32) + Fraction(1, 1000)  # the notch bottom
+    assert caught.value.witness == Fraction(1, 32) + Fraction(1, 1000)  # the notch bottom
 
 
 # -- the (=b−a) recovery --------------------------------------------------------
@@ -162,6 +162,46 @@ def test_meet_introduces_crossing_breakpoints():
     h = pl_lattice_op(LatticeOp.MEET, f, g)
     for t in probe_grid(f, g, h):
         assert h.eval(t) == min(f.eval(t), g.eval(t))
+
+
+def reference_pl_op(op, f, g):
+    """Sum, meet, join or |f| on the sorted union of the breakpoints and (for
+    all but the sum) the crossings of f - g, each point evaluated by
+    bisection, then trimmed of zero stretches at either end."""
+    if op is LatticeOp.ABS:
+        g = PiecewiseLinear.zero()
+    pts = sorted(set(f.xs) | set(g.xs))
+    if op is not LatticeOp.PLUS:
+        diff = [f.eval(t).value - g.eval(t).value for t in pts]
+        pts = sorted(set(pts) | {x0 + (x1 - x0) * d0 / (d0 - d1)
+                                 for x0, x1, d0, d1 in zip(pts, pts[1:], diff, diff[1:])
+                                 if d0 * d1 < 0})
+    fn = {LatticeOp.PLUS: lambda a, b: a + b, LatticeOp.MEET: min,
+          LatticeOp.JOIN: max, LatticeOp.ABS: lambda a, _: abs(a)}[op]
+    ys = [fn(f.eval(t).value, g.eval(t).value) for t in pts]
+    while len(pts) > 1 and ys[0] == ys[1] == 0:
+        pts, ys = pts[1:], ys[1:]
+    while len(pts) > 1 and ys[-1] == ys[-2] == 0:
+        pts, ys = pts[:-1], ys[:-1]
+    if len(pts) <= 1 or not any(ys):
+        return PiecewiseLinear.zero()
+    return PiecewiseLinear.of(pts, ys)
+
+
+def test_pl_ops_keep_exactly_the_reference_breakpoints():
+    # pointwise checks cannot see a missing or extra breakpoint, so the
+    # result's (xs, ys) must be the reference's exactly, down to types
+    rng = random.Random(19)
+    pairs = [(random_pl(rng), random_pl(rng)) for _ in range(300)]
+    f = random_pl(rng, zero_ok=False)
+    pairs += [(f, f), (f, pl_lattice_op(LatticeOp.SCALE, f, c=-1))]
+    pairs += [(ramp_sequence(0, 1, n), ramp_sequence(Fraction(1, 3), 2, n + 1))
+              for n in (1, 2, 5)]
+    pairs += [(ramp_sequence(-1, 1, 1), pl([-1, 0, 1], [0, 1, 0]))]  # equal, built two ways
+    for f, g in pairs:
+        for op in (LatticeOp.PLUS, LatticeOp.MEET, LatticeOp.JOIN, LatticeOp.ABS):
+            got, want = pl_lattice_op(op, f, g), reference_pl_op(op, f, g)
+            assert repr((got.xs, got.ys)) == repr((want.xs, want.ys)), (op, f, g)
 
 
 def test_pl_requires_zero_boundary():

@@ -5,14 +5,18 @@ ring sets is correct iff its `contains` agrees with the boolean
 combination of the operands' `contains` at every probe point.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daniell.extreal import POS_INF, ExtReal
 from daniell.rings import (
     BooleanOp,
+    OverlapError,
+    PreMeasure,
     RingSet,
     Universe,
     boolean_combine,
@@ -152,3 +156,16 @@ def test_infinite_measure_reported_as_infinity():
     )
     assert mu(RingSet.finite(u, ("a",))) == POS_INF
     assert mu(RingSet.finite(u, ("b",))) == ExtReal(0)
+
+
+def test_path_space_overlap_names_a_cylinder():
+    # a path-space set has no point to name: the overlap of {W_1 >= 0} and
+    # {-1 <= W_1 < 1} is reported by its cylinder, not as "overlap at None"
+    from daniell import wiener
+
+    a = RingSet.path_space([wiener.Cylinder.of([1], [[(0, math.inf)]])])
+    b = RingSet.path_space([wiener.Cylinder.of([1], [[(-1, 1)]])])
+    mu = PreMeasure(Universe.path_space(), lambda e: Fraction(0), name="zero")
+    with pytest.raises(OverlapError) as caught:
+        check_additivity(mu, [a, b])
+    assert caught.value.witness == wiener.Cylinder.of([1], [[(0, 1)]])
