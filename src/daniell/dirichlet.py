@@ -10,10 +10,10 @@ can serve as the other's oracle:
   tridiagonal solve in r per Fourier mode; a standard 5-point grid on the
   unit square, diagonalised by the DST-I in both directions.  Both use
   numpy alone and report the residual of the stencil they solved; and
-* walk-on-spheres: point estimates with a reported standard error.  The
-  walkers advance in contiguous blocks on a thread per CPU, all fed from
-  one random stream in walker order, so the estimate does not depend on
-  the number of threads.  A step takes its direction from t = tan(a/2)
+* walk-on-spheres: point estimates with a reported standard error.  Each
+  block of 2^15 walkers walks to the end on its own seed stream, and the
+  blocks run on a thread per CPU, so the estimate does not depend on the
+  number of threads.  A step takes its direction from t = tan(a/2)
   of its uniform angle a and its distance to the circle from a square
   root, both on numpy's SIMD loops; estimates differ from those of a
   cos/sin/hypot step only at rounding level.  The standard error covers
@@ -27,14 +27,12 @@ directly; it enters only as the limit of monotone continuous ramps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .parallel import cpus
+from .parallel import run_blocks
 
 TWO_PI = 2.0 * math.pi
 RESIDUAL_ULPS = 64  # disk residual gate: round-off in units of eps * top coefficient * max|g|
@@ -298,13 +296,8 @@ def solve_dirichlet(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
     return _solve_square_grid(dom, g)
 
 
-_INLINE = 4096  # live walkers below which a step is not worth a dispatch
+_BLOCK = 1 << 15  # walkers per seed stream, walked to the end at once
 _MAX_STEPS = 10_000
-
-
-def _blocks(walks: int) -> int:
-    """One block of walkers per CPU, none smaller than _INLINE."""
-    return max(1, min(cpus(), walks // _INLINE))
 
 
 def _move(lx, ly, dist, ang):
@@ -330,63 +323,46 @@ def _move(lx, ly, dist, ang):
 
 def _wos_exits(dom: DiskDomain, x, y, walks, seed) -> np.ndarray:
     """Boundary parameters of the exit points of ``walks`` walkers started
-    at (x, y), in walker order.
+    at (x, y), block by block.
 
-    The walkers are cut into contiguous blocks, each advanced by its own
-    thread; the calling thread takes the first.  Each step draws one angle
-    per live walker from the single stream, in walker order, and hands
-    each block its slice.  A block drops its exited walkers in order, so
-    the live walkers of all blocks, read block by block, are those of one
-    serial walk, and each gets the same angle and the same float
-    operations.  The exits do not depend on the number of blocks.  Once
-    fewer than _INLINE walkers are live, the blocks merge and the calling
-    thread finishes the walk.
+    Block i of _BLOCK walkers draws every angle from its own stream, child
+    i of SeedSequence(seed), walks its walkers to the end on one thread,
+    and writes their exits to its slice, in the order they exit; the
+    blocks run on a thread per CPU.  The exits depend on the seed and the
+    walk count, not on the number of threads.
     """
     if walks < 2:
         raise ValueError(f"a standard error needs at least 2 walks, got {walks}")
     disk = dom.shape is Shape.UNIT_DISK
-    px = np.empty(walks)  # exit points, by walker
+    px = np.empty(walks)  # exit points, block by block
     py = np.empty(walks)
 
-    def step(block, ang):
-        """Move a block's walkers by their angles (none at the start), then
-        retire those within 1e-6 of the boundary."""
-        live, lx, ly, dist = block
-        if ang is not None:
-            _move(lx, ly, dist, ang)
-        # overwrite the old distances, which the caller still holds: a fresh
-        # array would keep both alive and raise the peak memory of the walk
-        if disk:  # |x|, |y| < 1, so hypot's overflow guard buys nothing
-            dist = np.multiply(lx, lx, out=dist)
-            dist += ly * ly
-            dist = np.subtract(1.0, np.sqrt(dist, out=dist), out=dist)
-        else:
-            dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly), out=dist)
-        active = dist > 1e-6
-        if active.all():
-            return live, lx, ly, dist
-        done = live[~active]
-        px[done], py[done] = lx[~active], ly[~active]
-        return live[active], lx[active], ly[active], dist[active]
-
-    rng = np.random.default_rng(seed)
-    blocks = [(idx, np.full(idx.size, float(x)), np.full(idx.size, float(y)), None)
-              for idx in np.array_split(np.arange(walks), _blocks(walks))]
-    angs = [None] * len(blocks)
-    # numpy drops the GIL in the ufuncs
-    with ThreadPoolExecutor(len(blocks) - 1) if len(blocks) > 1 else nullcontext() as pool:
+    def walk(i):
+        bx, by = px[i * _BLOCK:(i + 1) * _BLOCK], py[i * _BLOCK:(i + 1) * _BLOCK]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        lx, ly = np.full(bx.size, float(x)), np.full(bx.size, float(y))
+        dist = np.empty(bx.size)
+        n = 0  # walkers exited
         for _ in range(_MAX_STEPS):
-            rest = [pool.submit(step, b, a) for b, a in zip(blocks[1:], angs[1:])]
-            blocks = [step(blocks[0], angs[0])] + [f.result() for f in rest]
-            sizes = [b[0].size for b in blocks]
-            n_live = sum(sizes)
-            if n_live == 0:
-                break
-            if len(blocks) > 1 and n_live < _INLINE:
-                blocks, sizes = [tuple(map(np.concatenate, zip(*blocks)))], [n_live]
-            angs = np.split(rng.uniform(0.0, TWO_PI, size=n_live), np.cumsum(sizes)[:-1])
-        else:
-            raise SolverFailure("walk-on-spheres did not terminate")
+            if disk:  # |x|, |y| < 1, so hypot's overflow guard buys nothing
+                np.multiply(lx, lx, out=dist)
+                dist += ly * ly
+                np.subtract(1.0, np.sqrt(dist, out=dist), out=dist)
+            else:
+                np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly), out=dist)
+            out = dist <= 1e-6
+            k = np.count_nonzero(out)
+            if k:
+                bx[n:n + k], by[n:n + k] = lx[out], ly[out]
+                n += k
+                if n == bx.size:
+                    return
+                keep = ~out
+                lx, ly, dist = lx[keep], ly[keep], dist[keep]
+            _move(lx, ly, dist, rng.uniform(0.0, TWO_PI, size=lx.size))
+        raise SolverFailure("walk-on-spheres did not terminate")
+
+    run_blocks(walk, -(-walks // _BLOCK))
     if disk:
         return np.mod(np.arctan2(py, px), TWO_PI)
     return _square_project(px, py)

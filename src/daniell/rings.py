@@ -127,7 +127,10 @@ class RingSet:
 
     @staticmethod
     def path_space(cylinders) -> RingSet:
-        return RingSet(Universe.path_space(), cylinders=tuple(cylinders))
+        """The union of the cylinders; empty ones are dropped, so a set
+        is empty exactly when it names no cylinder."""
+        return RingSet(Universe.path_space(),
+                       cylinders=tuple(c for c in cylinders if not c.is_empty))
 
     # -- queries -------------------------------------------------------
 

@@ -21,11 +21,11 @@ erratically with h, so there the refinement can end in
 ToleranceUnreachable, saying that the differences did not settle, even
 when the values already agree to far below tol.  Monte Carlo draws
 block i of 2^16 paths from its own seed stream, child i of
-SeedSequence(seed), and runs the blocks on a thread per CPU, with counts
-that do not depend on the number of threads; a job of one block, or on
-one CPU, runs in the calling thread.  Its ``stderr`` is the binomial
-one, with a one-sided 97.5 % Clopper-Pearson bound in place of p when
-no path (or every path) hits.
+SeedSequence(seed), and runs the blocks on a thread per CPU, the calling
+thread one of them, with counts that do not depend on the number of
+threads; a job of one block, or on one CPU, starts no thread.  Its
+``stderr`` is the binomial one, with a one-sided 97.5 % Clopper-Pearson
+bound in place of p when no path (or every path) hits.
 
 The default kernel is exp(-dx^2 / (2 dt)) / sqrt(2 pi dt), which makes
 the full path space have measure 1.  kernel="unnormalized" drops the
@@ -36,8 +36,6 @@ line at t = 1 has mass 1/sqrt(2) instead of 1.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import intervals as iv
-from .parallel import cpus
+from .parallel import run_blocks
 from .rings import BooleanOp
 
 INF = float("inf")
@@ -566,30 +564,15 @@ def _mc_hits(d: Cylinder, stream, m: int) -> int:
 
 
 def _mc_premeasure(d: Cylinder, paths: int, seed: int):
-    blocks = -(-paths // _BLOCK)
-    todo, lock = iter(range(blocks)), threading.Lock()
+    counts = np.zeros(-(-paths // _BLOCK), dtype=np.int64)
 
-    def worker():
-        """Hits in the blocks this thread takes, until none is left; block
-        i's stream, child i of SeedSequence(seed), is built when it starts."""
-        total = 0
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return total
-            stream = np.random.SeedSequence(seed, spawn_key=(i,))
-            total += _mc_hits(d, stream, min(_BLOCK, paths - i * _BLOCK))
+    def block(i):
+        """Hits in block i, drawn from child i of SeedSequence(seed)."""
+        stream = np.random.SeedSequence(seed, spawn_key=(i,))
+        counts[i] = _mc_hits(d, stream, min(_BLOCK, paths - i * _BLOCK))
 
-    workers = min(cpus(), blocks)
-    if workers == 1:
-        hits = worker()
-    else:
-        # numpy drops the GIL in the draws and the ufuncs; the counts are
-        # integers, so their sum does not depend on which thread took which
-        # block
-        with ThreadPoolExecutor(workers) as pool:
-            hits = sum(pool.map(lambda _: worker(), range(workers)))
+    run_blocks(block, counts.size)
+    hits = int(counts.sum())
     p = hits / paths
     if 0 < hits < paths:
         return p, math.sqrt(p * (1 - p) / paths)

@@ -190,8 +190,10 @@ def test_bad_interval_exit_code():
     ("dirichlet", "--g", "arc:0:2pi", "--x", "0.5,0.2"),
     ("dirichlet", "--g", "arc:1:5", "--x", "0.5,0.2", "--domain", "square"),
     ("dirichlet", "--g", "cos", "--x", "0,0", "--solver", "wos", "--walks", "100", "--h", "nan"),
+    ("dirichlet", "--g", "cos", "--x", "0,0", "--solver", "wos", "--walks", "100", "--seed=-1"),
     ("wiener", "--cylinder", "{cyl}", "--tol", "0"),
     ("wiener", "--cylinder", "{cyl}", "--method", "mc", "--paths", "0"),
+    ("wiener", "--cylinder", "{cyl}", "--method", "mc", "--paths", "1000", "--seed=-1"),
     ("integrate", "--interval", "0", "4", "--depth", "0"),
     ("lebesgue", "--interval", "0", "1", "--depth", "0"),
 ], ids=lambda args: " ".join(args))

@@ -21,6 +21,7 @@ import pytest
 from scipy.integrate import quad
 
 from daniell import dirichlet as dmod
+from daniell import parallel
 from daniell.dirichlet import (
     BoundaryFunction,
     DiskDomain,
@@ -202,47 +203,51 @@ def test_wos_deterministic_under_seed():
     )
     assert ix_eval((0.2, 0.3), g, cfg) == ix_eval((0.2, 0.3), g, cfg)
     # exact floats of the fixed-seed estimator: any change to the walk or
-    # to the order and size of its random draws shows here.  The bits
-    # follow numpy's SIMD dispatch of tan, which may differ by CPU
-    assert ix_eval((0.2, 0.3), g, cfg) == (0.6263881939929851, 0.004611143853207737)
+    # to the order and size of its random draws shows here.  They are
+    # those of serial_wos_exits; the bits follow numpy's SIMD dispatch of
+    # tan, which may differ by CPU
+    assert ix_eval((0.2, 0.3), g, cfg) == (0.6326477745346354, 0.004599976534142127)
     square = SolveConfig(domain=DiskDomain(Shape.UNIT_SQUARE, 1 / 32),
                          solver=Solver.WALK_ON_SPHERES, seed=3, walks=20_000)
-    assert ix_eval((0.3, 0.6), SQUARE_COS, square) == (0.13359147707429062,
-                                                        0.00463694723366606)
+    assert ix_eval((0.3, 0.6), SQUARE_COS, square) == (0.1367197140648616,
+                                                        0.004621108404023371)
 
 
 def serial_wos_exits(dom, x, y, walks, seed):
-    """Walk-on-spheres as one serial loop over all live walkers: the
-    reference for the blocked walk."""
-    rng = np.random.default_rng(seed)
-    px, py = np.empty(walks), np.empty(walks)
-    live = np.arange(walks)
-    lx, ly = np.full(walks, float(x)), np.full(walks, float(y))
-    for _ in range(10_000):
-        if dom.shape is Shape.UNIT_DISK:
-            dist = 1.0 - np.sqrt(lx * lx + ly * ly)
+    """Walk-on-spheres as a serial loop over the blocks, block i walked to
+    the end on child i of SeedSequence(seed), its exits in the order they
+    exit: the reference for the threaded walk."""
+    px, py = [], []
+    for i, lo in enumerate(range(0, walks, dmod._BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        m = min(dmod._BLOCK, walks - lo)
+        lx, ly = np.full(m, float(x)), np.full(m, float(y))
+        for _ in range(10_000):
+            if dom.shape is Shape.UNIT_DISK:
+                dist = 1.0 - np.sqrt(lx * lx + ly * ly)
+            else:
+                dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly))
+            out = dist <= 1e-6
+            px.append(lx[out])
+            py.append(ly[out])
+            lx, ly, dist = lx[~out], ly[~out], dist[~out]
+            if lx.size == 0:
+                break
+            t = np.tan(rng.uniform(0.0, 2 * math.pi, size=lx.size) / 2)
+            k = dist / (1 + t * t)  # (cos a, sin a) = (1 - t^2, 2t) / (1 + t^2)
+            lx += k * (1 - t * t)
+            ly += k * (2 * t)
         else:
-            dist = np.minimum(np.minimum(lx, 1.0 - lx), np.minimum(ly, 1.0 - ly))
-        active = dist > 1e-6
-        done = live[~active]
-        px[done], py[done] = lx[~active], ly[~active]
-        live, lx, ly, dist = live[active], lx[active], ly[active], dist[active]
-        if live.size == 0:
-            break
-        t = np.tan(rng.uniform(0.0, 2 * math.pi, size=live.size) / 2)
-        k = dist / (1 + t * t)  # (cos a, sin a) = (1 - t^2, 2t) / (1 + t^2)
-        lx += k * (1 - t * t)
-        ly += k * (2 * t)
-    else:
-        raise AssertionError("the reference walk did not terminate")
+            raise AssertionError("the reference walk did not terminate")
+    px, py = np.concatenate(px), np.concatenate(py)
     if dom.shape is Shape.UNIT_DISK:
         return np.mod(np.arctan2(py, px), 2 * math.pi)
     return dmod._square_project(px, py)
 
 
 WOS_CASES = [
-    (Shape.UNIT_DISK, (0.3, -0.45), 10_001),  # not divisible by the block count
-    (Shape.UNIT_DISK, (-0.2, 0.1), 2),  # fewer walkers than blocks
+    (Shape.UNIT_DISK, (0.3, -0.45), 10_001),  # not divisible by the block size
+    (Shape.UNIT_DISK, (-0.2, 0.1), 2),  # fewer walkers than a block
     (Shape.UNIT_DISK, (0.0, 0.0), 3_001),  # every walker exits at step 2
     (Shape.UNIT_SQUARE, (0.8, 0.35), 10_001),
     (Shape.UNIT_SQUARE, (0.1, 0.6), 2),
@@ -250,13 +255,11 @@ WOS_CASES = [
 ]
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 3, 7])
-@pytest.mark.parametrize("inline", ["default", "never"])
-def test_wos_exits_do_not_depend_on_block_count(monkeypatch, blocks, inline):
-    # "never" keeps every step on the blocks' threads down to the last walker
-    monkeypatch.setattr(dmod, "_blocks", lambda walks: blocks)
-    if inline == "never":
-        monkeypatch.setattr(dmod, "_INLINE", 0)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_wos_exits_do_not_depend_on_thread_count(monkeypatch, cpus):
+    # blocks of 1 000 walkers, so the cases span up to 11 blocks
+    monkeypatch.setattr(dmod, "_BLOCK", 1_000)
+    monkeypatch.setattr(parallel, "cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -297,10 +300,12 @@ def test_wos_stderr_covers_the_exact_value():
     assert abs(np.mean(z)) <= 0.3
 
 
-def test_wos_memory_stays_within_eleven_and_a_half_arrays():
-    # the compaction of the first step holds the draws, the old and the new
-    # walker arrays and both exit arrays (about 11.1 arrays of ``walks``
-    # floats); scratch arrays of the step that outlive it would add to that
+def test_wos_memory_stays_within_six_point_seven_arrays(monkeypatch):
+    # both exit arrays, and on each of two threads the compaction of a
+    # block of 2^15 walkers: its old and new positions and distances and
+    # two masks (about 6.1 arrays of ``walks`` floats in all); scratch
+    # arrays of the step that outlive it would add to that
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
     walks = 100_000
     dom = DiskDomain(Shape.UNIT_DISK, 1 / 32)
     # a first threaded call loads modules, whose objects tracemalloc would count
@@ -311,32 +316,34 @@ def test_wos_memory_stays_within_eleven_and_a_half_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11.5 * 8 * walks
+    assert peak <= 6.7 * 8 * walks
 
 
 def test_wos_threads_at_most_one_per_cpu(monkeypatch):
     pools = []
 
-    class Recording(dmod.ThreadPoolExecutor):
+    class Recording(parallel.ThreadPoolExecutor):
         def __init__(self, workers):
             pools.append(workers)
             super().__init__(workers)
 
-    monkeypatch.setattr(dmod, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
     g = arc_ramp(0.0, math.pi, 4)
-    # the calling thread works a block itself, and few walkers make no pool
+    # the calling thread walks blocks itself, and one block makes no pool
     for cpus, walks, want in [(8, 100, []), (8, 8_000, []), (1, 100_000, []),
-                              (2, 100_000, [1]), (64, 40_000, [8])]:
+                              (2, 100_000, [1]), (64, 40_000, [1]),
+                              (64, 100_000, [3])]:
         pools.clear()
-        monkeypatch.setattr(dmod, "cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(parallel, "cpus", lambda cpus=cpus: cpus)
         cfg = SolveConfig(solver=Solver.WALK_ON_SPHERES, seed=2, walks=walks)
         ix_eval((0.1, 0.2), g, cfg)
         assert pools == want
 
 
 def test_wos_failure_leaves_no_thread_running(monkeypatch):
-    monkeypatch.setattr(dmod, "_blocks", lambda walks: 3)
+    monkeypatch.setattr(dmod, "_BLOCK", 4_096)
     monkeypatch.setattr(dmod, "_MAX_STEPS", 2)
+    monkeypatch.setattr(parallel, "cpus", lambda: 3)
     before = set(threading.enumerate())
     cfg = SolveConfig(solver=Solver.WALK_ON_SPHERES, walks=10_000)
     with pytest.raises(SolverFailure, match="did not terminate"):

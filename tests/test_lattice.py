@@ -329,3 +329,15 @@ def test_path_space_order_test_names_a_cylinder():
     both = SimpleFunction.indicator(boolean_combine(BooleanOp.INTERSECT, a, b))
     assert both.first_excess(chi_a) is None
     assert chi_a.first_excess(chi_a) is None
+
+
+def test_path_space_drops_empty_cylinders():
+    # an empty cylinder kept in the set made it nonempty, named it as the
+    # witness and let the order test report it as an excess over zero
+    empty = wiener.Cylinder.of([1], [[]])
+    e = RingSet.path_space([empty])
+    assert e.is_empty and e.witness_point() is None
+    zero = SimpleFunction.zero(Universe.path_space())
+    assert SimpleFunction.indicator(e).first_excess(zero) is None
+    assert RingSet.from_json(e.to_json()) == e
+    assert RingSet.from_json({**e.to_json(), "cylinders": [empty.to_json()]}) == e
