@@ -255,6 +255,27 @@ WOS_CASES = [
 ]
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7])
+@pytest.mark.parametrize("inline", ["default", "never"])
+def test_wos_exits_do_not_depend_on_block_count(monkeypatch, blocks, inline):
+    # each case's walkers split into up to ``blocks`` blocks; the threaded
+    # walk gives the exits of the serial walk over the same blocks.
+    # "never" gives every block a thread of its own, so no thread walks
+    # two blocks one after the other
+    if inline == "never":
+        monkeypatch.setattr(parallel, "cpus", lambda: blocks)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed, (shape, (x, y), walks) in enumerate(WOS_CASES):
+            monkeypatch.setattr(dmod, "_BLOCK", -(-walks // blocks))
+            dom = DiskDomain(shape, 1 / 32)
+            got = dmod._wos_exits(dom, x, y, walks, seed)
+            assert got.tobytes() == serial_wos_exits(dom, x, y, walks, seed).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_wos_exits_do_not_depend_on_thread_count(monkeypatch, cpus):
     # blocks of 1 000 walkers, so the cases span up to 11 blocks
