@@ -1,18 +1,27 @@
 """Boundary-data functionals via numerical harmonic extension.
 
-The point functional here is g -> u_g(x): solve the Laplace boundary
-value problem for continuous boundary data g and read off the solution
-at an interior point x.  Two independent solvers are provided so each
-can serve as the other's oracle:
+The point functional here is g -> u_g(x), the harmonic extension of
+continuous boundary data g read at an interior point x.  It is positive
+and linear, and every answer reads g at a finite set of boundary
+parameters, the nodes of a rule (nodes, w) that depends on x and the
+solver, not on g: the answer is w . g(nodes), or the mean of g(nodes)
+when w is None.  Two independent solvers give the rule, so each can
+serve as the other's oracle:
 
 * a finite-difference solver: a polar 5-point grid on the unit disk, so
   the boundary is represented exactly, solved by an FFT in theta and one
   tridiagonal solve in r per Fourier mode; a standard 5-point grid on the
   unit square, diagonalised by the DST-I in both directions.  Both use
-  numpy alone and report the residual of the stencil they solved; and
-* walk-on-spheres: point estimates with a reported standard error.  Each
-  block of 2^15 walkers walks to the end on its own seed stream, and the
-  blocks run on a thread per CPU, so the estimate does not depend on the
+  numpy alone, and ``solve_dirichlet`` reports the residual of the
+  stencil it solved.  The nodes are the boundary nodes of the grid, and
+  w >= 0 with sum(w) = 1 is the discrete harmonic measure at x: one
+  solve with data 1 at one node on the disk, whose rotations give every
+  node's response, and one inverse of the symmetric stencil on the
+  square; and
+* walk-on-spheres: the nodes are the exit points of the walkers and the
+  answer is their mean, with a reported standard error.  Each block of
+  2^15 walkers walks to the end on its own seed stream, and the blocks
+  run on a thread per CPU, so the estimate does not depend on the
   number of threads.  A step takes its direction from t = tan(a/2)
   of its uniform angle a and its distance to the circle from a square
   root, both on numpy's SIMD loops; estimates differ from those of a
@@ -21,7 +30,8 @@ can serve as the other's oracle:
   1e-6 of the boundary.
 
 Discontinuous boundary data (arc indicators) never reaches the solvers
-directly; it enters only as the limit of monotone continuous ramps.
+directly; it enters only as the limit of monotone continuous ramps,
+whose order is checked at the nodes, the only points the answer reads.
 """
 
 from __future__ import annotations
@@ -141,11 +151,6 @@ class HarmonicField:
     boundary: np.ndarray
     residual: float
 
-    def at(self, x, y) -> float:
-        if self.domain.shape is Shape.UNIT_DISK:
-            return _disk_interpolate(self, x, y)
-        return _square_interpolate(self, x, y)
-
     def interior_max(self) -> float:
         return float(np.max(self.values))
 
@@ -203,31 +208,29 @@ def _solve_disk_grid(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
     return HarmonicField(dom, values, gb, residual)
 
 
-def _disk_interpolate(field: HarmonicField, x, y) -> float:
-    nr, ntheta = field.values.shape  # rows i=0..nr-1 at radius i/nr
-    r = math.hypot(x, y)
-    theta = math.atan2(y, x) % TWO_PI
-    ri = r * nr
+def _disk_rule(dom: DiskDomain, x, y):
+    """Boundary angles and weights of the grid answer at (x, y).
+
+    The scheme is linear and invariant under rotation by one theta-step,
+    so data e_j (1 at node j, 0 elsewhere) gives on ring i the response
+    G_i to e_0 rolled by j.  The bilinear coefficients of (x, y) on
+    rings i0, i0 + 1 and rays j0, j0 + 1 mix four such rows into w.
+    """
+    field = solve_dirichlet(dom, BoundaryFunction(lambda s: (np.asarray(s) == 0.0) * 1.0))
+    full = np.vstack([field.values, field.boundary])  # rows i=0..nr at radius i/nr
+    nr, ntheta = field.values.shape
+    ri = math.hypot(x, y) * nr
     i0 = min(int(ri), nr - 1)
     fr = ri - i0
-    tj = theta / (TWO_PI / ntheta)
+    tj = (math.atan2(y, x) % TWO_PI) / (TWO_PI / ntheta)
     j0 = int(tj) % ntheta
     ft = tj - int(tj)
-
-    def ring(i):
-        if i >= nr:
-            vals = field.boundary
-        else:
-            vals = field.values[i]
-        return (1 - ft) * vals[j0] + ft * vals[(j0 + 1) % ntheta]
-
-    return (1 - fr) * ring(i0) + fr * ring(i0 + 1)
-
-
-def _square_param(x, y):
-    """Arc length around the unit square, counterclockwise from (0,0)."""
-    return np.where(y == 0.0, x, np.where(x == 1.0, 1.0 + y,
-                                          np.where(y == 1.0, 3.0 - x, 4.0 - y)))
+    nodes = np.arange(ntheta)
+    w = np.zeros(ntheta)
+    for i, ci in ((i0, 1 - fr), (i0 + 1, fr)):
+        for b, cb in ((j0, 1 - ft), ((j0 + 1) % ntheta, ft)):
+            w += ci * cb * full[i, (b - nodes) % ntheta]  # node j's response at ray b
+    return nodes * (TWO_PI / ntheta), w
 
 
 def _dst1(a):
@@ -239,46 +242,63 @@ def _dst1(a):
     return -0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1:m + 1]
 
 
-def _solve_square_grid(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
-    """5-point scheme, diagonalised by the DST-I in x and in y.
+def _lap_inverse(rhs):
+    """z with the 5-point stencil of z equal to ``rhs`` at the interior
+    points, and z = 0 on the boundary, by the DST-I in x and in y.
 
     The 1-D second difference has eigenvalues 2 cos(k pi / n) - 2, k = 1..n-1.
     """
+    n = rhs.shape[0] + 1
+    lam = 2.0 * np.cos(np.arange(1, n) * math.pi / n) - 2.0
+    coef = _dst1(_dst1(rhs).T).T / (lam[:, None] + lam[None, :])
+    return (2.0 / n) ** 2 * _dst1(_dst1(coef).T).T
+
+
+def _square_ring(n):
+    """Grid indices (i, j) of the 4n boundary nodes (i/n, j/n),
+    counterclockwise from the origin corner, and their arc lengths."""
+    k, low, high = np.arange(n), np.zeros(n, int), np.full(n, n)
+    i = np.concatenate([k, high, n - k, low])
+    j = np.concatenate([low, k, high, n - k])
+    return i, j, _square_project(i / n, j / n)
+
+
+def _solve_square_grid(dom: DiskDomain, g: BoundaryFunction) -> HarmonicField:
+    """5-point scheme, diagonalised by the DST-I in x and in y."""
     n = max(4, round(1.0 / dom.h))
-    h = 1.0 / n
-    xs = np.arange(n + 1) * h
-    full = np.zeros((n + 1, n + 1))  # full[i, j] is the value at (xs[i], xs[j])
-    for e in (0, n):
-        side = np.full(n + 1, xs[e])
-        full[:, e] = g(_square_param(xs, side))
-        full[e, :] = g(_square_param(side, xs))
+    i, j, s = _square_ring(n)
+    full = np.zeros((n + 1, n + 1))  # full[i, j] is the value at (i/n, j/n)
+    full[i, j] = g(s)
 
     def lap(u):  # the 5-point stencil at the interior points
         return u[2:, 1:n] + u[:-2, 1:n] + u[1:n, 2:] + u[1:n, :-2] - 4.0 * u[1:n, 1:n]
 
-    rhs = -lap(full)  # the interior is still zero, so these are the boundary terms
-    lam = 2.0 * np.cos(np.arange(1, n) * math.pi / n) - 2.0
-    coef = _dst1(_dst1(rhs).T).T / (lam[:, None] + lam[None, :])
-    full[1:n, 1:n] = (2.0 / n) ** 2 * _dst1(_dst1(coef).T).T
-    residual = float(np.max(np.abs(lap(full)))) / h**2
+    full[1:n, 1:n] = _lap_inverse(-lap(full))  # the interior is still zero
+    residual = float(np.max(np.abs(lap(full)))) * n**2
     if not np.all(np.isfinite(full)):
         raise SolverFailure("square grid solve failed")
-    boundary = np.concatenate([full[0, :], full[:, 0], full[n, :], full[:, n]])
-    return HarmonicField(dom, full, boundary, residual)
+    return HarmonicField(dom, full, full[i, j], residual)
 
 
-def _square_interpolate(field: HarmonicField, x, y) -> float:
-    n = field.values.shape[0] - 1
+def _square_rule(dom: DiskDomain, x, y):
+    """Boundary arc lengths and weights of the grid answer at (x, y).
+
+    The answer is c . u for the bilinear coefficients c of (x, y), and the
+    interior values are u_I = -L^-1 (B g), with B g at an interior node
+    the sum of its boundary neighbours.  L is symmetric, so with
+    z = L^-1 c_I node b weighs c_b - (z at b's one interior neighbour);
+    a corner has none.
+    """
+    n = max(4, round(1.0 / dom.h))
+    i, j, s = _square_ring(n)
     fx, fy = x * n, y * n
     i0, j0 = min(int(fx), n - 1), min(int(fy), n - 1)
     ax, ay = fx - i0, fy - j0
-    v = field.values
-    return float(
-        (1 - ax) * (1 - ay) * v[i0, j0]
-        + ax * (1 - ay) * v[i0 + 1, j0]
-        + (1 - ax) * ay * v[i0, j0 + 1]
-        + ax * ay * v[i0 + 1, j0 + 1]
-    )
+    c = np.zeros((n + 1, n + 1))
+    c[i0:i0 + 2, j0:j0 + 2] = np.outer([1 - ax, ax], [1 - ay, ay])
+    z = np.pad(_lap_inverse(c[1:n, 1:n]), 2)  # node (i, j) at z[i + 1, j + 1], 0 off the interior
+    # the sum over b's four neighbours, of which only the interior one is nonzero
+    return s, c[i, j] - (z[i + 2, j + 1] + z[i, j + 1] + z[i + 1, j + 2] + z[i + 1, j])
 
 
 class Solver(Enum):
@@ -402,20 +422,43 @@ def _interior_point(x, dom: DiskDomain):
     return x0, x1
 
 
+def _rule(x, cfg: SolveConfig):
+    """(nodes, w): the boundary parameters that the answer at x reads, and
+    their weights.  On the grid w >= 0 and sum(w) = 1, the discrete
+    harmonic measure at x; walk-on-spheres returns the exit parameters of
+    ``cfg.walks`` walkers seeded by ``cfg.seed``, and w = None."""
+    x0, x1 = _interior_point(x, cfg.domain)
+    if cfg.solver is Solver.WALK_ON_SPHERES:
+        return _wos_exits(cfg.domain, x0, x1, cfg.walks, cfg.seed), None
+    if cfg.domain.shape is Shape.UNIT_DISK:
+        return _disk_rule(cfg.domain, x0, x1)
+    return _square_rule(cfg.domain, x0, x1)
+
+
+def _weigh(vals, w):
+    """(value, stderr) of data read at a rule's nodes: w . vals with
+    stderr 0, or for w = None the mean and its standard error."""
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise SolverFailure("boundary data is not finite at the nodes")
+    if w is None:
+        return float(vals.mean()), _stderr(vals)
+    return float(w @ vals), 0.0
+
+
 def ix_eval(x, g: BoundaryFunction, cfg: SolveConfig = SolveConfig()):
     """u_g at the interior point x = (x0, x1), for continuous g.
 
-    Returns (value, stderr): the grid solver interpolates its field and
-    reports stderr 0; walk-on-spheres uses ``cfg.walks`` walkers seeded
-    by ``cfg.seed``, and its stderr is the sampling error alone.
+    Returns (value, stderr).  The grid answer weighs g at the boundary
+    nodes by the discrete harmonic measure at x, and reports stderr 0;
+    walk-on-spheres averages g over the exit points of ``cfg.walks``
+    walkers seeded by ``cfg.seed``, and its stderr is the sampling error
+    alone.
     """
-    x0, x1 = _interior_point(x, cfg.domain)
-    if cfg.solver is Solver.GRID:
-        return solve_dirichlet(cfg.domain, g).at(x0, x1), 0.0
     if g.kind is not BoundaryKind.CONTINUOUS:
         raise ValueError("discontinuous data must go through extend_boundary")
-    vals = np.asarray(g(_wos_exits(cfg.domain, x0, x1, cfg.walks, cfg.seed)), dtype=float)
-    return float(vals.mean()), _stderr(vals)
+    nodes, w = _rule(x, cfg)
+    return _weigh(g(nodes), w)
 
 
 class NonMonotoneBoundary(ValueError):
@@ -426,31 +469,31 @@ def extend_boundary(x, f_seq, depth: int, tol: float,
                     cfg: SolveConfig = SolveConfig()) -> dict:
     """Limit of u_{f_n}(x) along a monotone sequence of boundary data.
 
-    ``f_seq`` maps n >= 1 to a continuous BoundaryFunction; monotonicity
-    is verified at 64 boundary probes along the doubling schedule
-    1, 2, 4, ..., depth.  Only the last two terms of the schedule are
-    solved: the certificate reports the observed gap between them (the
+    ``f_seq`` maps n >= 1 to a continuous BoundaryFunction, read along
+    the doubling schedule 1, 2, 4, ..., depth at the nodes of one rule
+    (one grid solve, or one walk).  f_n <= f_2n is checked at every node.
+    The answer reads the data only there, as a weighing by w >= 0 or as a
+    mean, so the test is exact for it.  The last two terms are weighed:
+    the certificate reports the observed gap between them (the
     Harnack-style convergence surrogate).
     """
-    _interior_point(x, cfg.domain)
-    period = cfg.domain.param_period
-    ss = np.arange(64) * (period / 64)
+    nodes, w = _rule(x, cfg)
     schedule = []
     n = 1
     while n < depth:
         schedule.append(n)
         n *= 2
     schedule.append(depth)
-    prev = None
     last = []
     for n in schedule:
         f = f_seq(n)
-        fv = np.asarray(f(ss), dtype=float)
-        if prev is not None and np.any(fv < prev - 1e-12):
+        if f.kind is not BoundaryKind.CONTINUOUS:
+            raise ValueError(f"term n={n} of a monotone limit must be continuous")
+        fv = np.asarray(f(nodes), dtype=float)
+        if last and np.any(fv < last[-1]):
             raise NonMonotoneBoundary(f"boundary data decreased at n={n}")
-        prev = fv
-        last = [*last[-1:], f]
-    values = [ix_eval(x, f, cfg) for f in last]
+        last = [*last[-1:], fv]
+    values = [_weigh(fv, w) for fv in last]
     gap = abs(values[-1][0] - values[0][0]) if len(values) > 1 else 0.0
     if gap > tol:
         raise NonMonotoneBoundary(
@@ -466,22 +509,18 @@ def harmonic_measure_of_arc(x, lo, hi, cfg: SolveConfig = SolveConfig(),
 
     Brackets the measure between the harmonic extensions of inner and
     outer continuous ramps; the midpoint cancels the symmetric ramp bias.
-    Walk-on-spheres reads both ramps at the same exit points, so its
-    stderr is that of the per-walk midpoints.
+    Both ramps are read at the nodes of one rule, so the grid solves once
+    and walk-on-spheres walks once; its stderr is that of the per-walk
+    midpoints.
     """
     period = cfg.domain.param_period
     lower = arc_ramp(lo, hi, n, side="lower", period=period)
     upper = arc_ramp(lo, hi, n, side="upper", period=period)
-    if cfg.solver is Solver.GRID:
-        v_lo, _ = ix_eval(x, lower, cfg)
-        v_hi, _ = ix_eval(x, upper, cfg)
-        stderr = 0.0
-    else:
-        params = _wos_exits(cfg.domain, *_interior_point(x, cfg.domain),
-                            cfg.walks, cfg.seed)
-        lo_vals, hi_vals = lower(params), upper(params)
-        v_lo, v_hi = float(lo_vals.mean()), float(hi_vals.mean())
-        stderr = _stderr(0.5 * (lo_vals + hi_vals))
+    nodes, w = _rule(x, cfg)
+    lo_vals, hi_vals = lower(nodes), upper(nodes)
+    v_lo, _ = _weigh(lo_vals, w)
+    v_hi, _ = _weigh(hi_vals, w)
+    _, stderr = _weigh(0.5 * (lo_vals + hi_vals), w)
     return {
         "value": 0.5 * (v_lo + v_hi),
         "lower": v_lo,

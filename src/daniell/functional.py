@@ -57,7 +57,7 @@ class ElementaryIntegral:
 
 @dataclass(frozen=True)
 class SignedFunctional:
-    """S(x) = sum_a nu({a}) x(a) over a finite universe, with bound M."""
+    """S(x) = sum_a nu({a}) x(a) over a finite universe."""
 
     universe: Universe
     weights: tuple  # of (label, Fraction)
@@ -80,12 +80,6 @@ class SignedFunctional:
         )
 
     __call__ = evaluate
-
-    def bound(self, x: SimpleFunction) -> Fraction:
-        """M(x) = sum |nu({a})| x(a); monotone on nonnegative x."""
-        return sum(
-            (abs(w) * x.eval(lab).value for lab, w in self.weights), Fraction(0)
-        )
 
 
 class NegativeArgument(ValueError):

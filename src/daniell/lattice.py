@@ -271,10 +271,6 @@ def neg_part(x: SimpleFunction) -> SimpleFunction:
     return pos_part(x.scale(-1))
 
 
-def is_nonnegative(x: SimpleFunction) -> bool:
-    return all(c >= 0 for c, _ in canonicalize(x).terms)
-
-
 def level_set(x: SimpleFunction, threshold) -> RingSet:
     """The ring set {t : x(t) > threshold}, for threshold >= 0: the union
     of the canonical pieces above threshold, which are pairwise disjoint."""

@@ -651,10 +651,21 @@ def dirichlet_suite(quick=False):
                 ok = False
     out.append(_record("dirichlet.constant_data", ok))
 
-    field = dmod.solve_dirichlet(cfg.domain, dmod.BoundaryFunction(np.cos))
-    err = max(abs(field.at(*p) - p[0]) for p in pts)  # u = r cos(theta) = x
+    err = max(abs(dmod.ix_eval(p, dmod.BoundaryFunction(np.cos), cfg)[0] - p[0])
+              for p in pts)  # u = r cos(theta) = x
     out.append(_record("dirichlet.cos_theta_closed_form", err < 30 * h * h,
                        max_err=err, h=h))
+
+    # the grid answer weighs the data at the nodes by the discrete harmonic
+    # measure, which makes the order test of a monotone limit exact there
+    square = dmod.SolveConfig(domain=dmod.DiskDomain(dmod.Shape.UNIT_SQUARE, h))
+    least, mass_err = math.inf, 0.0
+    for p in pts:  # the square takes each point mapped by p -> (1 + p) / 2
+        for q, rule_cfg in ((p, cfg), (((1 + p[0]) / 2, (1 + p[1]) / 2), square)):
+            _, w = dmod._rule(q, rule_cfg)
+            least, mass_err = min(least, float(np.min(w))), max(mass_err, abs(float(np.sum(w)) - 1))
+    out.append(_record("dirichlet.grid_weights_nonnegative_mass_one",
+                       least >= 0 and mass_err <= 1e-12, min_weight=least, mass_err=mass_err))
 
     ok = True
     for case in range(10 if quick else 50):

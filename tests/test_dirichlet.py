@@ -58,12 +58,11 @@ def poisson_oracle(g, r, theta):
 def test_poisson_oracle_agrees_with_grid_solver():
     rng = random.Random(2)
     g = arc_ramp(0.7, 2.9, 8)
-    field = solve_dirichlet(FINE.domain, g)
     for _ in range(5):
         r = rng.uniform(0, 0.6)
         th = rng.uniform(0, 2 * math.pi)
         x, y = r * math.cos(th), r * math.sin(th)
-        assert abs(field.at(x, y) - poisson_oracle(g, r, th)) < 2e-3
+        assert abs(ix_eval((x, y), g, FINE)[0] - poisson_oracle(g, r, th)) < 2e-3
 
 
 # -- harmonic measure -----------------------------------------------------------
@@ -143,24 +142,37 @@ def test_unknown_ramp_side_is_rejected():
 # -- monotone data -----------------------------------------------------------------
 
 
+def ramp(n):
+    return arc_ramp(0.2, 1.8, n, side="lower")
+
+
 def test_extend_boundary_increasing_ramps(monkeypatch):
     # increasing ramp approximations of an arc indicator: the extension
-    # converges and reports a certified gap, solving only the two terms
-    # it reports (n = 8 and 16 of the schedule 1, 2, 4, 8, 16)
-    lo, hi = 0.2, 1.8
-
-    def ramp(n):
-        return arc_ramp(lo, hi, n, side="lower")
-
-    solved = []
-    monkeypatch.setattr(dmod, "ix_eval",
-                        lambda x, g, cfg: solved.append(g) or ix_eval(x, g, cfg))
-    out = extend_boundary((0.0, 0.0), ramp, depth=16, tol=1e-2, cfg=COARSE)
-    assert len(solved) == 2
+    # converges and reports a certified gap, with one grid solve for the
+    # whole schedule 1, 2, 4, 8, 16, whose last two terms it reports
     v8, v16 = (ix_eval((0.0, 0.0), ramp(n), COARSE)[0] for n in (8, 16))
+    solved = []
+    solve = dmod.solve_dirichlet
+    monkeypatch.setattr(dmod, "solve_dirichlet",
+                        lambda dom, g: solved.append(g) or solve(dom, g))
+    out = extend_boundary((0.0, 0.0), ramp, depth=16, tol=1e-2, cfg=COARSE)
+    assert len(solved) == 1
     assert out == {"value": v16, "stderr": 0.0, "harnack_gap": abs(v16 - v8), "depth": 16}
-    assert abs(out["value"] - (hi - lo) / (2 * math.pi)) < 1e-2
+    assert abs(out["value"] - (1.8 - 0.2) / (2 * math.pi)) < 1e-2
     assert out["harnack_gap"] <= 1e-2
+
+
+def test_extend_boundary_walks_once(monkeypatch):
+    # walk-on-spheres reads every term at the exits of one walk: the
+    # output is that of the last two terms' ix_eval under the same seed
+    cfg = SolveConfig(solver=Solver.WALK_ON_SPHERES, seed=9, walks=5_000)
+    (v8, _), (v16, se16) = (ix_eval((0.3, 0.2), ramp(n), cfg) for n in (8, 16))
+    walked = []
+    exits = dmod._wos_exits
+    monkeypatch.setattr(dmod, "_wos_exits", lambda *a: walked.append(a) or exits(*a))
+    out = extend_boundary((0.3, 0.2), ramp, depth=16, tol=0.5, cfg=cfg)
+    assert len(walked) == 1
+    assert out == {"value": v16, "stderr": se16, "harnack_gap": abs(v16 - v8), "depth": 16}
 
 
 def test_extend_boundary_rejects_nonmonotone():
@@ -172,6 +184,19 @@ def test_extend_boundary_rejects_nonmonotone():
 
     with pytest.raises(NonMonotoneBoundary):
         extend_boundary((0.0, 0.0), flip, depth=8, tol=1e-3, cfg=COARSE)
+
+    # 0.5, dropping to 0.1 within 1e-3 of grid node 1 for n >= 2: no
+    # point of a 64-probe check came near it, and the limit read 0.4720,
+    # below u_{f_1} = 0.5, with harnack_gap 0
+    node = 2 * math.pi / 256
+
+    def dip(n):
+        drop = 0.0 if n == 1 else 0.4
+        return BoundaryFunction(
+            lambda s: 0.5 - drop * np.clip(1 - np.abs(np.asarray(s) - node) / 1e-3, 0, 1))
+
+    with pytest.raises(NonMonotoneBoundary):
+        extend_boundary((0.9, 0.05), dip, depth=4, tol=1e-3, cfg=COARSE)
     # a point off the domain is reported first, as when n = 1 was solved
     with pytest.raises(ValueError, match="strictly interior"):
         extend_boundary((1.0, 0.0), flip, depth=8, tol=1e-3, cfg=COARSE)
@@ -470,12 +495,16 @@ def square_boundary_x(s):
 
 
 def test_square_reproduces_linear_data():
-    # the 5-point scheme is exact on u = x, so only rounding remains
-    field = solve_dirichlet(DiskDomain(Shape.UNIT_SQUARE, 1 / 64),
-                            BoundaryFunction(square_boundary_x))
-    for x, y in SQUARE_POINTS:
-        assert abs(field.at(x, y) - x) < 1e-12
-    assert field.residual < 1e-6
+    # the 5-point scheme is exact on u = x, so only rounding remains.  At
+    # n = 49, 98 and 103, n * (1/n) != 1, and nodes built as i * (1/n)
+    # read the right and top sides at the wrong arc length: u missed x by
+    # up to 0.55
+    g = BoundaryFunction(square_boundary_x)
+    for n in (49, 64, 98, 103):
+        cfg = SolveConfig(domain=DiskDomain(Shape.UNIT_SQUARE, 1 / n))
+        for p in SQUARE_POINTS:
+            assert abs(ix_eval(p, g, cfg)[0] - p[0]) < 1e-12
+        assert solve_dirichlet(cfg.domain, g).residual < 1e-6
 
 
 def test_square_grid_agrees_with_wos():

@@ -114,14 +114,6 @@ def test_splus_example():
     assert jordan_decompose(s).abs.integrate(x) == Fraction(3)
 
 
-@given(weight_maps, value_maps)
-def test_bound_dominates(nu, values):
-    # |S(x)| ≤ M(|x|) with M the bound functional
-    s = SignedFunctional.of(U6, nu)
-    x = point_fn(U6, values)
-    assert abs(s.evaluate(x)) <= s.bound(absolute(x))
-
-
 # -- elementary integral -----------------------------------------------------
 
 

@@ -23,7 +23,6 @@ from daniell.lattice import (
     _set_sort_key,
     absolute,
     canonicalize,
-    is_nonnegative,
     join,
     lattice_op,
     level_set,
@@ -168,16 +167,6 @@ def test_level_set_matches_membership(x, thr):
     e = level_set(x, thr)
     for t in probes(x):
         assert e.contains(t) == (x.eval(t) > ExtReal(thr))
-
-
-def test_is_nonnegative():
-    assert is_nonnegative(SimpleFunction.indicator(iv(0, 1)))
-    assert not is_nonnegative(SimpleFunction.indicator(iv(0, 1), Fraction(-1)))
-    # cancellation makes this one nonnegative despite a negative raw term
-    x = SimpleFunction.of(
-        LINE, [(Fraction(2), iv(0, 2)), (Fraction(-1), iv(0, 1))]
-    )
-    assert is_nonnegative(x)
 
 
 def test_json_roundtrip():
