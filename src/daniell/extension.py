@@ -34,6 +34,7 @@ any other premeasure ``identity_on`` takes the walk.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -177,7 +178,7 @@ class MeasurableFunction:
         if (k, n) not in self._checked and 2 <= k <= NEST_CHECK_TOP:
             last = self._last
             prev = last[1] if last and last[0] == (k - 1, n) else self._oracle(k - 1, n)
-            if not e.subset_of(prev):
+            if e is not prev and not e.subset_of(prev):
                 raise LevelSetNestingError(f"E_{k},{n} not inside E_{k-1},{n}")
             self._checked.add((k, n))
         self._last = ((k, n), e)
@@ -191,7 +192,7 @@ class MeasurableFunction:
         supp = level_set(xc, 0)
         return MeasurableFunction(
             evaluator=lambda t: xc.eval(t),
-            level_set_oracle=lambda k, n: level_set(xc, Fraction(k, 2**n)),
+            level_set_oracle=_simple_levels(xc),
             support=supp,
             simple=xc,
         )
@@ -226,12 +227,15 @@ class MeasurableFunction:
     def meet_with_simple(self, phi: SimpleFunction) -> MeasurableFunction:
         """The pointwise minimum phi ^ x, for nonnegative phi."""
         phic = canonicalize(phi)
+        phi_levels = _simple_levels(phic)
+        met = {}  # id of a level set of phi -> (x's level set, their intersection)
 
         def oracle(k, n):
-            thr = Fraction(k, 2**n)
-            return boolean_combine(
-                BooleanOp.INTERSECT, level_set(phic, thr), self._oracle(k, n)
-            )
+            e, f = phi_levels(k, n), self._oracle(k, n)
+            hit = met.get(id(e))  # phi_levels keeps e alive, so its id stays its own
+            if hit is None or hit[0] is not f:
+                hit = met[id(e)] = (f, boolean_combine(BooleanOp.INTERSECT, e, f))
+            return hit[1]
 
         return MeasurableFunction(
             evaluator=lambda t: min(phic.eval(t), self.eval(t)),
@@ -239,6 +243,29 @@ class MeasurableFunction:
             support=boolean_combine(BooleanOp.INTERSECT, self.support,
                                     level_set(phic, 0)),
         )
+
+
+def _simple_levels(xc: SimpleFunction):
+    """The level-set oracle (k, n) -> {xc > k 2^-n} of canonical xc.
+
+    The set depends only on how many of xc's distinct values lie at or
+    below the threshold, so it is built once per such count and shared
+    by every level that gives the same count.  The sorted values are
+    listed on the first call."""
+    values = None
+    built = {}
+
+    def oracle(k, n):
+        nonlocal values
+        thr = Fraction(k, 2**n)
+        if values is None:
+            values = sorted({c for c, _ in xc.terms})
+        i = bisect_right(values, thr)
+        if k < 0 or i not in built:  # level_set rejects a negative threshold
+            built[i] = level_set(xc, thr)
+        return built[i]
+
+    return oracle
 
 
 def dyadic_levels(x: MeasurableFunction, n: int):

@@ -6,23 +6,43 @@ two unions are equal as sets exactly when their normal forms are equal.
 Every function but ``normalize`` takes unions in normal form; all
 return one.
 
-The functions only compare endpoints; they never convert them.  The
+The functions compare endpoints and return them unchanged.  The
 real-line ring (:mod:`daniell.rings`) passes ``Fraction`` endpoints,
-path space (:mod:`daniell.wiener`) floats with ``±inf`` for rays.
+path space (:mod:`daniell.wiener`) floats with ``±inf`` for rays.  Sorts
+order endpoints by ``_key``, which puts a float in front of each one, so
+that most comparisons are between floats and the order stays exact.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def _key(v) -> tuple:
+    """(float(v), v): orders endpoints exactly as v itself does.
+
+    Rounding to the nearest float never reverses order, so two keys whose
+    floats differ compare as their endpoints do, and equal floats fall
+    through to comparing the endpoints.  Past the float range the float is
+    ±inf, and the endpoint still decides between two such keys."""
+    try:
+        return (float(v), v)
+    except OverflowError:
+        return (math.inf if v > 0 else -math.inf, v)
 
 
 def normalize(pairs) -> tuple:
     """Sort, drop empty pairs, and merge overlapping or touching ones."""
     merged = []
-    for lo, hi in sorted((lo, hi) for lo, hi in pairs if lo < hi):
+    for lo, hi in sorted((_key(lo), _key(hi)) for lo, hi in pairs):
+        if not lo < hi:
+            continue
         if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            if merged[-1][1] < hi:
+                merged[-1][1] = hi
         else:
-            merged.append((lo, hi))
-    return tuple(merged)
+            merged.append([lo, hi])
+    return tuple((lo[1], hi[1]) for lo, hi in merged)
 
 
 def union(a, b) -> tuple:
@@ -34,13 +54,16 @@ def intersect(a, b) -> tuple:
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
+        (alo, ahi), (blo, bhi) = a[i], b[j]
+        lo = blo if alo < blo else alo
+        if ahi < bhi:
+            hi = ahi
             i += 1
         else:
+            hi = bhi
             j += 1
+        if lo < hi:
+            out.append((lo, hi))
     return tuple(out)
 
 

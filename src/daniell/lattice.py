@@ -114,9 +114,13 @@ class SimpleFunction:
 
 
 def _set_sort_key(s: RingSet):
+    """Orders pairwise disjoint nonempty sets: on a finite universe by their
+    labels, on the line by their least ends, which order disjoint sets as
+    their interval tuples do.  Path-space sets all get one key, so a stable
+    sort keeps their order."""
     if s.universe.kind is UniverseKind.FINITE:
         return s.points
-    return s.intervals
+    return iv._key(s.intervals[0][0]) if s.intervals else ()
 
 
 def _refine(sets):
@@ -151,12 +155,12 @@ def _line_classes(universe: Universe, sets):
     In normal form a set's intervals never touch, so at each endpoint every
     set covering it starts or stops there: the membership mask changes, and
     no two cells of one class touch."""
-    ends = sorted(((p, k) for k, s in enumerate(sets) for pair in s.intervals for p in pair),
-                  key=itemgetter(0))
+    ends = sorted(((iv._key(p), k) for k, s in enumerate(sets) for pair in s.intervals
+                   for p in pair), key=itemgetter(0))
     classes = {}
     mask = 0
     lo = None
-    for p, group in groupby(ends, key=itemgetter(0)):
+    for (_, p), group in groupby(ends, key=itemgetter(0)):
         if mask:
             classes.setdefault(mask, []).append((lo, p))
         for _, k in group:
@@ -201,16 +205,20 @@ def _coeff_sum(mask: int, coeffs) -> Fraction:
     return total
 
 
+def _in_set_order(universe: Universe, terms) -> SimpleFunction:
+    """The canonical function whose pieces are the nonzero terms, when the
+    term sets are distinct membership classes."""
+    terms = sorted(((c, s) for c, s in terms if c != 0), key=lambda p: _set_sort_key(p[1]))
+    return SimpleFunction(universe, tuple(terms), canonical=True)
+
+
 def canonicalize(x: SimpleFunction) -> SimpleFunction:
     """Rewrite with pairwise disjoint sets and nonzero coefficients."""
     if x.canonical:
         return x
     coeffs = [c for c, _ in x.terms]
-    pieces = [(_coeff_sum(m, coeffs), s)
-              for m, s in _classes(x.universe, [s for _, s in x.terms])]
-    pieces = [(c, s) for c, s in pieces if c != 0]
-    pieces.sort(key=lambda p: _set_sort_key(p[1]))
-    return SimpleFunction(x.universe, tuple(pieces), canonical=True)
+    return _in_set_order(x.universe, [(_coeff_sum(m, coeffs), s)
+                                      for m, s in _classes(x.universe, [s for _, s in x.terms])])
 
 
 def _common_atoms(x: SimpleFunction, y: SimpleFunction):
@@ -227,7 +235,12 @@ def _common_atoms(x: SimpleFunction, y: SimpleFunction):
 
 def lattice_op(op: LatticeOp, x: SimpleFunction, y: SimpleFunction | None = None,
                c=None) -> SimpleFunction:
-    """Pointwise Plus/Scale/Meet/Join/Abs; result is canonical."""
+    """Pointwise Plus/Scale/Meet/Join/Abs; result is canonical.
+
+    Meet, join and |.| take their values on sets that are membership
+    classes already: the common atoms, or for |.| x's canonical pieces.
+    Off path space those sets are the result's pieces, with no sweep; path
+    space canonicalizes them anew, as refinement may cut its cylinders."""
     if op is LatticeOp.SCALE:
         if c is None:
             raise ValueError("Scale needs c")
@@ -235,20 +248,25 @@ def lattice_op(op: LatticeOp, x: SimpleFunction, y: SimpleFunction | None = None
         return canonicalize(
             SimpleFunction(x.universe, tuple((c * a, s) for a, s in x.terms))
         )
+    path_space = x.universe.kind is UniverseKind.PATH_SPACE
     if op is LatticeOp.ABS:
-        atoms = _common_atoms(x, SimpleFunction.zero(x.universe))
-        terms = [(abs(vx), s) for (vx, _), s in atoms]
+        if path_space:
+            atoms = _common_atoms(x, SimpleFunction.zero(x.universe))
+            terms = [(abs(vx), s) for (vx, _), s in atoms]
+        else:
+            terms = [(abs(v), s) for v, s in canonicalize(x).terms]
+    else:
+        if y is None:
+            raise ValueError(f"{op.value} needs a second argument")
+        if x.universe != y.universe:
+            raise UniverseMismatch("lattice op across universes")
+        if op is LatticeOp.PLUS:
+            return canonicalize(SimpleFunction(x.universe, x.terms + y.terms))
+        fn = min if op is LatticeOp.MEET else max
+        terms = [(fn(vx, vy), s) for (vx, vy), s in _common_atoms(x, y)]
+    if path_space:
         return canonicalize(SimpleFunction(x.universe, tuple(terms)))
-    if y is None:
-        raise ValueError(f"{op.value} needs a second argument")
-    if x.universe != y.universe:
-        raise UniverseMismatch("lattice op across universes")
-    if op is LatticeOp.PLUS:
-        return canonicalize(SimpleFunction(x.universe, x.terms + y.terms))
-    atoms = _common_atoms(x, y)
-    fn = min if op is LatticeOp.MEET else max
-    terms = [(fn(vx, vy), s) for (vx, vy), s in atoms]
-    return canonicalize(SimpleFunction(x.universe, tuple(terms)))
+    return _in_set_order(x.universe, terms)
 
 
 def meet(x: SimpleFunction, y: SimpleFunction) -> SimpleFunction:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from daniell import extension
 from daniell.extension import (
     NEST_CHECK_TOP,
     ApproximationUnreachable,
@@ -311,6 +312,44 @@ def test_identity_under_another_premeasure_takes_the_walk(monkeypatch):
         assert twice.lower == once.lower + once.lower
         assert twice.upper == once.upper + once.upper
         assert twice.converged == once.converged
+
+
+# phi of 10 pieces under a ceiling of 64 on [0, 12), at n_max = 4: the
+# bracket an oracle that builds every level set afresh gives
+GENERIC_10 = {"value": [689, 32], "lower": [689, 32], "upper": [1403, 64], "depth": 4,
+              "converged": True}
+
+
+def test_generic_oracle_builds_each_distinct_level_set_once(monkeypatch):
+    # {x > t} for simple x depends only on how many of x's distinct values
+    # are <= t, so phi ^ ceiling needs at most (d + 1) level sets of phi and
+    # 2 of the ceiling, plus the two supports: 15 here, where building one
+    # for every level asked for took 146
+    rng = random.Random(22)
+    pieces = [(s, Fraction(v, 8)) for (s, _), v in zip(random_step_pieces(rng, 10),
+                                                        rng.sample(range(1, 49), 10))]
+    phi = SimpleFunction.of(LINE, [(v, s) for s, v in pieces])
+    ceiling = SimpleFunction.indicator(RingSet.interval(0, 12), 64)
+    built = []
+    original = extension.level_set
+
+    def counted(x, threshold):
+        built.append(threshold)
+        return original(x, threshold)
+
+    monkeypatch.setattr(extension, "level_set", counted)
+    x = MeasurableFunction.from_simple(ceiling).meet_with_simple(phi)
+    res = level_set_integral(x, LENGTH, n_max=4)
+    monkeypatch.undo()
+    assert len(built) <= (10 + 1) + (1 + 1) + 2
+    assert res.to_json() == GENERIC_10
+    y = MeasurableFunction.from_simple(phi)
+    assert res.to_json() == level_set_integral(y, LENGTH, n_max=4).to_json()
+    # {phi > -1/16} shares its count of values with {phi > 0}, built first,
+    # and is still refused
+    y.level_set(0, 4)
+    with pytest.raises(ValueError, match="nonnegative thresholds"):
+        y.level_set(-1, 4)
 
 
 @pytest.mark.parametrize("broken", [3, 17, NEST_CHECK_TOP])

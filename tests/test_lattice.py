@@ -6,6 +6,8 @@ functions are piecewise constant, so probing every constancy region is
 an exact check, not an approximation.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,9 +18,12 @@ from hypothesis import strategies as st
 from daniell import wiener
 from daniell.extreal import ExtReal, ZERO
 from daniell.fuzz import random_simple_function
+from daniell.extension import MeasurableFunction, dyadic_levels, level_set_integral
+from daniell.functional import ElementaryIntegral
 from daniell.lattice import (
     LatticeOp,
     SimpleFunction,
+    _common_atoms,
     _refine,
     _set_sort_key,
     absolute,
@@ -30,7 +35,14 @@ from daniell.lattice import (
     neg_part,
     pos_part,
 )
-from daniell.rings import BooleanOp, RingSet, Universe, boolean_combine
+from daniell.rings import (
+    BooleanOp,
+    RingSet,
+    Universe,
+    boolean_combine,
+    length_premeasure,
+    weighted_counting_premeasure,
+)
 
 LINE = Universe.real_line()
 
@@ -330,3 +342,109 @@ def test_path_space_drops_empty_cylinders():
     assert SimpleFunction.indicator(e).first_excess(zero) is None
     assert RingSet.from_json(e.to_json()) == e
     assert RingSet.from_json({**e.to_json(), "cylinders": [empty.to_json()]}) == e
+
+
+# -- one sweep per lattice op --------------------------------------------------
+#
+# Off path space, meet, join and |.| return the common atoms (or x's
+# canonical pieces) directly; the reference is the route through
+# canonicalize that the atoms would take.
+
+
+def canonical_route(op, x, y):
+    """op(x, y), or |x| for op absolute, as canonicalize builds it from the
+    common atoms; returns the atom terms too."""
+    if op is absolute:
+        atoms = _common_atoms(x, SimpleFunction.zero(x.universe))
+        terms = [(abs(vx), s) for (vx, _), s in atoms]
+    else:
+        fn = min if op is meet else max
+        terms = [(fn(vx, vy), s) for (vx, vy), s in _common_atoms(x, y)]
+    return terms, canonicalize(SimpleFunction(x.universe, tuple(terms)))
+
+
+def apply(op, x, y):
+    return op(x) if op is absolute else op(x, y)
+
+
+def test_lattice_ops_match_the_canonicalize_route():
+    rng = random.Random(22)
+    zero_atoms = 0
+    for universe in (LINE, FINITE):
+        for _ in range(40):
+            x = SimpleFunction.of(universe, random_terms(rng, universe, rng.randint(0, 48)))
+            y = SimpleFunction.of(universe, random_terms(rng, universe, rng.randint(0, 48)))
+            for op, u in ((meet, x), (join, x), (absolute, x - y)):
+                terms, want = canonical_route(op, u, y)
+                zero_atoms += sum(c == 0 for c, _ in terms)
+                got = apply(op, u, y)
+                assert repr(got.terms) == repr(want.terms)
+                assert got.canonical and want.canonical
+    assert zero_atoms > 0
+    # path space keeps the route through canonicalize
+    half = Fraction(1, 2)
+    a = RingSet.path_space([wiener.Cylinder.of([half, 1], [[(0, 2)], wiener.FULL_LINE])])
+    b = RingSet.path_space([wiener.Cylinder.of([1], [[(1, 3)]])])
+    path = Universe.path_space()
+    x = SimpleFunction.of(path, [(1, a), (-2, b)])
+    y = SimpleFunction.of(path, [(3, b), (-1, a)])
+    for op in (meet, join, absolute):
+        assert apply(op, x, y) == canonical_route(op, x, y)[1]
+
+
+# -- golden digest of the exact core -------------------------------------------
+#
+# The SHA-256 of seeded meet, join and |.| results and of dyadic integrals
+# through the generic (meet_with_simple) oracle, with every level set of
+# one depth, on the line and on a finite universe.  It pins every output
+# of these routes, down to the order of the pieces and the Fraction in
+# every end, so a faster sweep must leave it unchanged.
+
+GOLDEN_EXACT_CORE = "78c6d1dfacc29c6a6d39505eb07bf1b43ba61400e9d238955feb5173df527d79"
+
+
+def mixed_terms(rng, universe, count):
+    """``random_terms`` on a finite universe; on the line, also terms whose
+    ends have denominators up to 30, some negative or past the float range."""
+    if universe != LINE or rng.random() < 0.5:
+        return random_terms(rng, universe, count)
+    terms = []
+    for _ in range(count):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            a = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+            if rng.random() < 0.05:
+                a += rng.choice([-1, 1]) * 10**400
+            pairs.append((a, a + Fraction(rng.randint(1, 40), rng.randint(1, 30))))
+        terms.append((random_coeff(rng), RingSet.from_intervals(pairs)))
+    return terms
+
+
+def exact_core_outputs():
+    rng = random.Random(2022)
+    out = []
+    for universe in (LINE, FINITE):
+        for _ in range(30):
+            x = SimpleFunction.of(universe, mixed_terms(rng, universe, rng.randint(0, 48)))
+            y = SimpleFunction.of(universe, mixed_terms(rng, universe, rng.randint(0, 48)))
+            out += [meet(x, y).to_json(), join(x, y).to_json(), absolute(x - y).to_json()]
+    counting = ElementaryIntegral(weighted_counting_premeasure(
+        FINITE, {lab: Fraction(k + 1, 3) for k, lab in enumerate(FINITE.labels)}))
+    for universe, i in ((LINE, ElementaryIntegral(length_premeasure())), (FINITE, counting)):
+        whole = RingSet.interval(0, 6) if universe == LINE else RingSet.finite(universe, "abcdef")
+        for _ in range(12):
+            phi = absolute(SimpleFunction.of(universe, mixed_terms(rng, universe,
+                                                                    rng.randint(0, 15))))
+            # a ceiling on a fixed set or on phi's support, often below phi's larger values
+            below = whole if rng.random() < 0.5 else level_set(phi, 0)
+            ceiling = SimpleFunction.indicator(below, Fraction(rng.randint(1, 12),
+                                                               rng.randint(1, 4)))
+            x = MeasurableFunction.from_simple(ceiling).meet_with_simple(phi)
+            n = rng.randint(1, 5)
+            out.append(level_set_integral(x, i, n_max=n).to_json())
+            out.append([e.to_json() for e in dyadic_levels(x, 2)])
+    return json.dumps(out, sort_keys=True).encode()
+
+
+def test_exact_core_outputs_match_the_golden_digest():
+    assert hashlib.sha256(exact_core_outputs()).hexdigest() == GOLDEN_EXACT_CORE

@@ -9,10 +9,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from daniell import intervals
 from daniell.extreal import POS_INF, ExtReal
+from daniell.lattice import _line_classes
 from daniell.rings import (
     BooleanOp,
     OverlapError,
@@ -82,6 +84,87 @@ def test_canonical_form_is_sorted_and_disjoint(a):
 def test_difference_union_recovers_superset(a, b):
     # (a \ b) ∪ (a ∩ b) == a, exactly in canonical form
     assert union(difference(a, b), intersect(a, b)) == a
+
+
+# -- exact sort keys -------------------------------------------------------
+#
+# normalize and the lattice's endpoint sweep sort ends by a key that puts a
+# float in front of each; the reference sorts the Fractions themselves.
+
+
+def ref_normalize(pairs):
+    merged = []
+    for lo, hi in sorted((lo, hi) for lo, hi in pairs if lo < hi):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def ref_line_classes(sets):
+    """(mask, cells) in order of first appearance, by a sweep over the raw ends."""
+    ends = sorted(((p, k) for k, s in enumerate(sets) for pair in s.intervals for p in pair),
+                  key=lambda e: e[0])
+    classes, mask, lo = {}, 0, None
+    for i, (p, k) in enumerate(ends):
+        if i == 0 or p != ends[i - 1][0]:
+            if mask:
+                classes.setdefault(mask, []).append((lo, p))
+            lo = p
+        mask ^= 1 << k
+    return [(m, tuple(cells)) for m, cells in classes.items()]
+
+
+def ref_intersect(a, b):
+    return ref_normalize((max(p, r), min(q, t)) for p, q in a for r, t in b)
+
+
+TINY = Fraction(1, 10**30)
+HUGE = Fraction(10**400)
+# ends whose floats tie (1/3 and its neighbours), or that no float holds
+HARD_ENDS = [Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 3) - TINY, HUGE, -HUGE,
+             HUGE + Fraction(1, 3), -HUGE - 1, Fraction(0), Fraction(-1, 2), Fraction(2, 7)]
+# each draw is a new Fraction, so equal ends are distinct objects
+ends = st.one_of(st.sampled_from(HARD_ENDS).map(Fraction),
+                 st.fractions(min_value=-4, max_value=4, max_denominator=6))
+pair_lists = st.lists(st.tuples(ends, ends), max_size=8)
+
+
+def first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+# 200 ends of pairwise-coprime denominators, crowded into [3, 3.5]
+COPRIME = [(Fraction(3 * p + j, p), Fraction(3 * p + j + 1, p))
+           for j, p in enumerate(first_primes(200))]
+
+
+@given(st.lists(pair_lists, min_size=1, max_size=5))
+@example([COPRIME[0::4], COPRIME[1::4], COPRIME[2::4], COPRIME[3::4]])
+def test_sort_keys_order_ends_exactly(families):
+    for pairs in families:
+        assert repr(intervals.normalize(pairs)) == repr(ref_normalize(pairs))
+    sets = [RingSet(LINE, intervals=ref_normalize(pairs)) for pairs in families]
+    got = [(m, s.intervals) for m, s in _line_classes(LINE, sets)]
+    assert repr(got) == repr(ref_line_classes(sets))
+    for a, b in zip(sets, sets[1:]):
+        assert intervals.intersect(a.intervals, b.intervals) == ref_intersect(a.intervals,
+                                                                              b.intervals)
+
+
+def test_float_ends_sort_through_the_same_key():
+    # path space passes float ends, with +-inf for rays
+    pairs = [(1.0, math.inf), (-math.inf, 0.5), (0.5, 1.0), (2.0, 2.0)]
+    assert intervals.normalize(pairs) == ((-math.inf, math.inf),)
+    assert intervals.normalize(pairs[1:]) == ((-math.inf, 1.0),)
+    assert intervals.intersect(((-math.inf, 0.5),), ((0.0, math.inf),)) == ((0.0, 0.5),)
 
 
 def test_half_open_convention():
